@@ -13,12 +13,12 @@ Voting Master can combine them uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.types import ProductItem
-from repro.core.prepared import ItemLike
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Prediction
-from repro.core.ruleset import RuleSet
+from repro.core.ruleset import RuleSet, RuleVerdict
 from repro.learning.ensemble import VotingEnsemble
 from repro.observability.provenance import StageTrace
 
@@ -88,14 +88,27 @@ class RuleBasedClassifier(ClassifierStage):
 
 
 class AttributeValueClassifier(ClassifierStage):
-    """Stage 2: attribute rules predict; value rules constrain."""
+    """Stage 2: attribute rules predict; value rules constrain.
+
+    The Voting Master asks this stage for ``predict`` and then
+    ``constraints`` on the same prepared item; both read one
+    :meth:`RuleSet.apply` verdict. ``predict`` stashes it keyed on the
+    prepared item, the rule set and its :attr:`RuleSet.version`, and
+    ``constraints`` takes it (take-and-clear) only when all three still
+    match, so a rule edit in between is never served a stale verdict.
+    """
 
     def __init__(self, rules: Optional[RuleSet] = None, name: str = "attr-value"):
         super().__init__(name)
         self.rules = rules if rules is not None else RuleSet(name=name)
+        self._shared: Optional[Tuple[PreparedItem, RuleSet, int, RuleVerdict]] = None
 
     def predict(self, item: ItemLike) -> List[Prediction]:
-        verdict = self.rules.apply(item)
+        prepared = prepare(item)
+        # Cleared first, so an apply that raises leaves no older verdict.
+        self._shared = None
+        verdict = self.rules.apply(prepared)
+        self._shared = (prepared, self.rules, self.rules.version, verdict)
         predictions = [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
             for p in verdict.predictions
@@ -113,7 +126,16 @@ class AttributeValueClassifier(ClassifierStage):
         return predictions
 
     def constraints(self, item: ItemLike) -> Optional[Set[str]]:
-        verdict = self.rules.apply(item)
+        shared, self._shared = self._shared, None
+        if (
+            shared is not None
+            and shared[0] is item
+            and shared[1] is self.rules
+            and shared[2] == self.rules.version
+        ):
+            verdict = shared[3]
+        else:
+            verdict = self.rules.apply(item)
         if verdict.constrained_to is None:
             return None
         return set(verdict.constrained_to)
@@ -133,8 +155,12 @@ class LearningClassifierStage(ClassifierStage):
         self._trained = False
         # Types the operator has suppressed (incident scale-down).
         self.suppressed_types: Set[str] = set()
+        # title -> ensemble predictions for the batch in flight (see
+        # predict_titles); empty outside a batch.
+        self._batch_predictions: Dict[str, List[Prediction]] = {}
 
     def fit(self, titles: Sequence[str], labels: Sequence[str]) -> None:
+        self._batch_predictions = {}
         self.ensemble.fit(titles, labels)
         self._trained = True
 
@@ -142,10 +168,36 @@ class LearningClassifierStage(ClassifierStage):
     def is_trained(self) -> bool:
         return self._trained
 
+    def predict_titles(self, titles: Sequence[str]) -> None:
+        """Predict a batch's titles with one ensemble call, ahead of voting.
+
+        Each later :meth:`predict` on one of ``titles`` reads the result
+        instead of calling the ensemble for a single title; the rows are
+        exactly what a single-title call returns. Skipped when the stage
+        is untrained or disabled. If the batch call raises, no table is
+        kept, so each item's own :meth:`predict` meets (and reports) its
+        own outcome. :meth:`clear_titles` drops the table.
+        """
+        self._batch_predictions = {}
+        if not self._trained or not self.enabled:
+            return
+        unique = list(dict.fromkeys(titles))
+        try:
+            rows = self.ensemble.predict_batch(unique)
+        except Exception:
+            return
+        self._batch_predictions = dict(zip(unique, rows))
+
+    def clear_titles(self) -> None:
+        """Drop the table :meth:`predict_titles` built."""
+        self._batch_predictions = {}
+
     def predict(self, item: ItemLike) -> List[Prediction]:
         if not self._trained:
             return []
-        predictions = self.ensemble.predict(item.title)
+        predictions = self._batch_predictions.get(item.title)
+        if predictions is None:
+            predictions = self.ensemble.predict_batch([item.title])[0]
         surviving = [
             Prediction(p.label, weight=p.weight, source=f"{self.name}:{p.source}")
             for p in predictions

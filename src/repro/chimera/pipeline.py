@@ -543,18 +543,33 @@ class Chimera:
     def classify_batch(
         self, items: Sequence[ProductItem], batch_id: Optional[str] = None
     ) -> BatchResult:
+        """Classify a batch: one learning call, then each item in order.
+
+        The learning stage predicts every title of the batch with a single
+        ensemble call up front (:meth:`LearningClassifierStage.predict_titles`).
+        The per-item loop is :meth:`classify_item` itself, so stage guards,
+        health counters and provenance see exactly what a loop of
+        ``classify_item`` calls would (tests/test_chimera_batch.py).
+        """
         obs = self.observability
         result = BatchResult()
         if batch_id is None:
             batch_id = f"batch-{self._batch_counter:04d}"
         self._batch_counter += 1
         with obs.span("chimera.classify_batch", items=len(items)) as batch_span:
-            for item in items:
-                item_result = self.classify_item(item, batch_id=batch_id)
-                if item_result is None:
-                    result.rejected.append(item)
-                else:
-                    result.results.append(item_result)
+            prepared_items = [prepare(item) for item in items]
+            # Rows for items the gate settles on its own go unread.
+            with obs.span("chimera.learn_batch"):
+                self.learning_stage.predict_titles([p.title for p in prepared_items])
+            try:
+                for item, prepared in zip(items, prepared_items):
+                    item_result = self.classify_item(prepared, batch_id=batch_id)
+                    if item_result is None:
+                        result.rejected.append(item)
+                    else:
+                        result.results.append(item_result)
+            finally:
+                self.learning_stage.clear_titles()
             batch_span.set_attribute(
                 "classified", sum(1 for r in result.results if r.classified)
             )

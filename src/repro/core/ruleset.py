@@ -84,6 +84,9 @@ class RuleSet:
         # same callable registered twice unsubscribes independently.
         self._listeners: Dict[int, Callable[[str, Rule], None]] = {}
         self._listener_tokens = 0
+        # apply()'s kind partition, rebuilt when `_version` moves on.
+        self._kinds: Tuple[Tuple[Rule, ...], ...] = ((), (), ())
+        self._kinds_version = -1
         for rule in rules:
             self.add(rule)
 
@@ -245,14 +248,31 @@ class RuleSet:
     def active_rules(self) -> List[Rule]:
         return [rule for rule in self if rule.enabled]
 
-    def whitelists(self) -> List[Rule]:
-        return [r for r in self.active_rules() if not r.is_blacklist and not r.is_constraint]
+    def _kind_partition(self) -> Tuple[Tuple[Rule, ...], ...]:
+        """(whitelists, constraints, blacklists) in set order, enabled or not.
 
-    def blacklists(self) -> List[Rule]:
-        return [r for r in self.active_rules() if r.is_blacklist]
+        Cached per :attr:`version`, which every mutation event bumps.
+        ``enabled`` is not part of the cache: ``maintenance.apply_plan``
+        flips it in place without an event, so callers read it live.
+        """
+        if self._kinds_version != self._version:
+            rules = list(self)
+            self._kinds = (
+                tuple(r for r in rules if not r.is_blacklist and not r.is_constraint),
+                tuple(r for r in rules if r.is_constraint),
+                tuple(r for r in rules if r.is_blacklist),
+            )
+            self._kinds_version = self._version
+        return self._kinds
+
+    def whitelists(self) -> List[Rule]:
+        return [r for r in self._kind_partition()[0] if r.enabled]
 
     def constraints(self) -> List[Rule]:
-        return [r for r in self.active_rules() if r.is_constraint]
+        return [r for r in self._kind_partition()[1] if r.enabled]
+
+    def blacklists(self) -> List[Rule]:
+        return [r for r in self._kind_partition()[2] if r.enabled]
 
     def rules_for_type(self, target_type: str) -> List[Rule]:
         return [r for r in self if r.target_type == target_type]
@@ -269,12 +289,17 @@ class RuleSet:
         Accepts either a raw :class:`~repro.catalog.types.ProductItem` or a
         :class:`~repro.core.prepared.PreparedItem`; either way the item's
         derived text views are computed at most once for the whole verdict.
+        The kind partition is cached per :attr:`version`; each rule's
+        ``enabled`` flag is read live (see :meth:`_kind_partition`).
         """
+        whitelists, constraints, blacklists = self._kind_partition()
         prepared = prepare(item)
         fired: List[str] = []
         predictions: List[Prediction] = []
         seen_labels: Set[str] = set()
-        for rule in self.whitelists():
+        for rule in whitelists:
+            if not rule.enabled:
+                continue
             prediction = rule.predict_prepared(prepared)
             if prediction is not None:
                 fired.append(rule.rule_id)
@@ -290,8 +315,8 @@ class RuleSet:
                     ]
 
         allowed: Optional[Set[str]] = None
-        for rule in self.constraints():
-            if rule.matches_prepared(prepared):
+        for rule in constraints:
+            if rule.enabled and rule.matches_prepared(prepared):
                 fired.append(rule.rule_id)
                 rule_allowed = set(rule.allowed_types)
                 allowed = rule_allowed if allowed is None else (allowed & rule_allowed)
@@ -299,8 +324,8 @@ class RuleSet:
             predictions = [p for p in predictions if p.label in allowed]
 
         vetoed: List[str] = []
-        for rule in self.blacklists():
-            if rule.matches_prepared(prepared):
+        for rule in blacklists:
+            if rule.enabled and rule.matches_prepared(prepared):
                 fired.append(rule.rule_id)
                 vetoed.append(rule.target_type)
         veto_set = set(vetoed)

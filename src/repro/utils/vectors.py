@@ -87,8 +87,28 @@ class SparseVector:
         return self.add(other.scale(-1.0))
 
 
+def _binary_rescaled(vector: SparseVector) -> SparseVector:
+    """``vector`` times the power of two that puts its largest magnitude
+    in [0.5, 1).
+
+    Scaling by a power of two is exact, so for ordinary magnitudes the
+    dot products and norms of the rescaled copies are the originals' bits
+    times a power of two, and their quotient is unchanged. At magnitudes
+    near 1e-160 it keeps ``dot`` out of the subnormals, where the
+    products lose their precision but the scaled ``norm`` does not.
+    """
+    if not len(vector):
+        return vector
+    scale = max(abs(v) for _, v in vector.items())
+    if math.isinf(scale):
+        return vector
+    shift = -math.frexp(scale)[1]
+    return SparseVector({k: math.ldexp(v, shift) for k, v in vector.items()})
+
+
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     """Cosine of the angle between two sparse vectors (0 for zero vectors)."""
+    a, b = _binary_rescaled(a), _binary_rescaled(b)
     denom = a.norm() * b.norm()
     if denom == 0:
         return 0.0

@@ -129,3 +129,84 @@ class TestViews:
         coverage = ruleset.coverage(items)
         ring_rule = ruleset.rules_for_type("rings")[0]
         assert len(coverage[ring_rule.rule_id]) == 2
+
+
+class TestKindPartitionCache:
+    """``apply`` caches its whitelist/constraint/blacklist partition per
+    version; every mutation between two calls must still show up.
+
+    Each test warms the cache with a first ``apply`` before mutating, so
+    a cache that ignores the version, keys on the rule count, or bakes
+    ``enabled`` into the partition fails at least one of them.
+    """
+
+    def test_in_place_disable_is_read_live(self, ruleset):
+        assert ruleset.apply(item("diamond ring")).labels == ["rings"]
+        version = ruleset.version
+        for rule in ruleset.rules_for_type("rings"):
+            rule.enabled = False  # no event, no version bump
+        assert ruleset.version == version
+        assert ruleset.apply(item("diamond ring")).labels == []
+        for rule in ruleset.rules_for_type("rings"):
+            rule.enabled = True
+        assert ruleset.apply(item("diamond ring")).labels == ["rings"]
+
+    def test_apply_plan_disable_is_read_live(self, ruleset):
+        from repro.maintenance.taxonomy_change import TaxonomyChangePlan, apply_plan
+
+        assert ruleset.apply(item("carabiner key ring")).vetoed == ("rings",)
+        blacklist = ruleset.blacklists()[0]
+        plan = TaxonomyChangePlan(
+            old_type="rings", new_types=("rings", "key chains"),
+            invalidated=[blacklist.rule_id], undecidable=[blacklist.rule_id],
+        )
+        assert apply_plan(list(ruleset), plan) == [blacklist]
+        verdict = ruleset.apply(item("carabiner key ring"))
+        assert verdict.vetoed == ()
+        assert verdict.labels == ["rings"]
+
+    def test_replace_same_size(self, ruleset):
+        assert ruleset.apply(item("cordless phone")).labels == ["smart phones"]
+        old = ruleset.whitelists()[-1]
+        edited = parse_rules("phones? -> NOT smart phones")[0]
+        edited.rule_id = old.rule_id
+        ruleset.replace(edited)
+        verdict = ruleset.apply(item("cordless phone"))
+        assert verdict.labels == []
+        assert verdict.vetoed == ("smart phones",)
+
+    def test_remove(self, ruleset):
+        assert ruleset.apply(item("carabiner key ring")).labels == []
+        ruleset.remove(ruleset.blacklists()[0].rule_id)
+        assert ruleset.apply(item("carabiner key ring")).labels == ["rings"]
+
+    def test_add(self, ruleset):
+        assert ruleset.apply(item("area rug")).labels == []
+        ruleset.add(WhitelistRule("rugs?", "area rugs"))
+        assert ruleset.apply(item("area rug")).labels == ["area rugs"]
+
+    def test_disable_type(self, ruleset):
+        assert ruleset.apply(item("diamond ring")).labels == ["rings"]
+        disabled = ruleset.disable_type("rings")
+        assert ruleset.apply(item("diamond ring")).labels == []
+        ruleset.enable_all(disabled)
+        assert ruleset.apply(item("diamond ring")).labels == ["rings"]
+
+    def test_kind_order_survives_mutation(self):
+        ruleset = RuleSet(parse_rules("""
+            key rings? -> NOT rings
+            value(brand_name)=tiffany -> rings|necklaces
+            rings? -> rings
+        """))
+        probe = item("tiffany key ring", brand_name="tiffany")
+        assert len(ruleset.apply(probe).fired) == 3
+        ruleset.add(parse_rules("tiffany -> necklaces")[0])
+        ruleset.add(BlacklistRule("tiffany", "watches"))
+        fired = ruleset.apply(probe).fired
+        kinds = [
+            "bl" if ruleset.get(r).is_blacklist
+            else "cons" if ruleset.get(r).is_constraint
+            else "wl"
+            for r in fired
+        ]
+        assert kinds == ["wl", "wl", "cons", "bl", "bl"]
