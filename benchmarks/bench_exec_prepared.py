@@ -12,12 +12,10 @@ same synthetic corpus:
                        (tokenize per index probe and per candidate eval);
 * ``prepared_naive`` — NaiveExecutor over PreparedItems;
 * ``prepared_indexed`` — IndexedExecutor over PreparedItems;
-* ``compiled_indexed`` — IndexedExecutor(compiled=True): the whole rule
-  set lowered once into a CompiledRuleSet (DESIGN.md §11), measured
-  steady-state (compile + warmup excluded; compile time reported
-  separately as ``compile_time_sec``);
-* ``compiled_parallel`` — PartitionedExecutor(compiled=True), in-process
-  shards sharing one compiled artifact.
+* ``compiled_indexed`` — ``RuleSetCompiler().compile(rules).execute``:
+  the whole rule set lowered once into a CompiledRuleSet (DESIGN.md §11),
+  measured steady-state (compile + warmup excluded; compile time
+  reported separately as ``compile_time_sec``).
 
 Results are written machine-readable to ``BENCH_exec.json`` at the repo
 root so future PRs have a perf trajectory. Run directly:
@@ -44,8 +42,8 @@ from repro.core.rule import RegexRule  # noqa: E402
 from repro.execution import (  # noqa: E402
     IndexedExecutor,
     NaiveExecutor,
-    PartitionedExecutor,
     RuleIndex,
+    RuleSetCompiler,
 )
 from repro.utils.text import STOPWORDS, contains_word_sequence, tokenize_cached  # noqa: E402
 
@@ -227,45 +225,32 @@ def main(argv=None):
         lambda: indexed_executor.run(items)
     )
 
-    # -- compiled paths ------------------------------------------------------
+    # -- compiled path -------------------------------------------------------
     # Steady-state protocol: the artifact compiles once and serves every
     # subsequent batch, so compile + warmup run before the timed passes and
     # compile cost is reported as its own number. The timed pass repeats and
     # keeps the fastest run: at ~10us/item the loop is fine-grained enough
     # that a single shot mostly measures scheduler luck on a shared box, and
     # min-of-N is the standard estimator for the loop's true cost.
-    compiled_executor = IndexedExecutor(rules, compiled=True)
-    _, compile_probe = timed(lambda: compiled_executor.compiled_ruleset())
-    compiled_executor.run(items[: min(1000, len(items))])  # warmup
-    compiled_fired = compiled_stats = None
+    compiled, compile_probe = timed(lambda: RuleSetCompiler().compile(rules))
+    compiled.execute(items[: min(1000, len(items))])  # warmup
+    compiled_fired = compiled_stats = compiled_wall = None
     for _ in range(5):
-        run_fired, run_stats = compiled_executor.run(items)
-        if compiled_stats is None or run_stats.wall_time < compiled_stats.wall_time:
-            compiled_fired, compiled_stats = run_fired, run_stats
-
-    parallel_executor = PartitionedExecutor(
-        rules, n_workers=4, compiled=True
-    )
-    parallel_executor.run(items[: min(1000, len(items))])  # warmup + compile
-    compiled_parallel_out = compiled_parallel_wall = None
-    for _ in range(3):
-        run_out, run_wall = timed(lambda: parallel_executor.run(items))
-        if compiled_parallel_wall is None or run_wall < compiled_parallel_wall:
-            compiled_parallel_out, compiled_parallel_wall = run_out, run_wall
-    compiled_parallel_fired = compiled_parallel_out[0]
+        (run_fired, run_stats), run_wall = timed(lambda: compiled.execute(items))
+        if compiled_wall is None or run_wall < compiled_wall:
+            compiled_fired, compiled_stats, compiled_wall = run_fired, run_stats, run_wall
 
     identical = (
         prepared_indexed_fired == NaiveExecutor(rules).run(items)[0]
         and seed_indexed_fired == prepared_indexed_fired
         and seed_naive_fired == prepared_naive_fired
         and compiled_fired == prepared_indexed_fired
-        and compiled_parallel_fired == prepared_indexed_fired
     )
 
     indexed_speedup = seed_indexed_time / max(prepared_indexed_stats.wall_time, 1e-9)
     naive_speedup = seed_naive_time / max(prepared_naive_stats.wall_time, 1e-9)
     compiled_speedup = (
-        prepared_indexed_stats.wall_time / max(compiled_stats.wall_time, 1e-9)
+        prepared_indexed_stats.wall_time / max(compiled_wall, 1e-9)
     )
 
     payload = {
@@ -294,14 +279,8 @@ def main(argv=None):
             series(
                 "compiled_indexed",
                 len(items),
-                compiled_stats.wall_time,
+                compiled_wall,
                 compiled_stats.rule_evaluations,
-            ),
-            series(
-                "compiled_parallel",
-                len(items),
-                compiled_parallel_wall,
-                compiled_parallel_out[1].rule_evaluations,
             ),
         ],
         "prepared_indexed_timing_split": {
@@ -310,8 +289,8 @@ def main(argv=None):
         },
         "compiled_indexed_protocol": {
             "note": "steady-state: compile + 1k-item warmup before the "
-                    "timed passes, then best of 5 runs (3 for parallel); "
-                    "compile amortizes across batches",
+                    "timed passes, then best of 5 runs; compile amortizes "
+                    "across batches",
             "compile_time_sec": round(compile_probe, 4),
         },
         "speedups": {
@@ -338,7 +317,6 @@ def main(argv=None):
         f"{payload['series'][3]['evaluations_per_item']}",
         f"compiled indexed items/sec     : {payload['series'][4]['items_per_sec']}"
         f"  ({compiled_speedup:.1f}x vs prepared, compile {compile_probe:.3f}s)",
-        f"compiled parallel items/sec    : {payload['series'][5]['items_per_sec']}",
         f"fired maps identical           : {identical}",
         f"json                           : {os.path.relpath(args.out, REPO_ROOT)}",
     ]

@@ -32,13 +32,18 @@ the wrong tool: rule churn and batch arrival change a sliver of the
 fired map as a materialized view and re-evaluate only the delta.
 
 The compiled execution layer (:mod:`repro.execution.compiler`, DESIGN.md
-§11) removes the remaining per-candidate interpretive overhead:
-:class:`RuleSetCompiler` lowers the whole rule set into one combined
-matcher (:class:`CompiledRuleSet` — flattened Aho–Corasick tiers over a
-:class:`TokenAutomaton` plus precompiled verification closures) consumed
-by the ``compiled=True`` mode of the indexed, incremental, and
-partitioned executors. Fired maps stay byte-identical to the interpreted
-paths; only the cost changes.
+§11) removes the remaining per-candidate interpretive overhead for batch
+runs: :class:`RuleSetCompiler` lowers the whole rule set into one
+combined matcher (:class:`CompiledRuleSet` — flattened Aho–Corasick tiers
+over a :class:`TokenAutomaton` plus precompiled verification closures),
+called directly as ``RuleSetCompiler(...).compile(rules).execute(items)``.
+
+Each executor runs exactly one engine: the incremental, indexed and
+partitioned executors are interpreted (the indexed one is the reference
+the compiled engine is tested against), and the compiled engine has no
+executor wrapper. Their fired maps agree except for short-plural regexes
+(``tvs?`` on ``'4k smart tvs'``), which the interpreted anchor index
+misses and the compiled engine fires with no evaluation counted.
 """
 
 from repro.core.prepared import (

@@ -24,8 +24,7 @@ patterns, proper failure/output links) so the compiled layer stays
 correct for deep phrase literals, and so the structure is independently
 testable. Construction is lazy: patterns can be added/removed freely and
 the goto/fail/output tables are (re)built on first scan after a change.
-``generation`` bumps on every mutation — the compiled layer uses it to
-notice churn without rebuilding eagerly.
+``generation`` bumps on every mutation.
 """
 
 from __future__ import annotations

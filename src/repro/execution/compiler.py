@@ -33,9 +33,7 @@ Each entry in the depth-1 dict carries six lanes::
   (single-token sequence rules; regex branches that are a bare word, or
   ``words?`` registered under both surface forms). Folded lanes carry
   small-int *ordinals* into a lexicographic rule-id table rather than id
-  strings: the hot loop sorts ints and decodes through the table, and
-  raw (pre-fold) lanes keep the strings so incremental add/remove
-  surgery is unchanged;
+  strings: the hot loop sorts ints and decodes through the table;
 * ``verify`` — ``None`` or a gated triple ``(gate, positional,
   closures)``: positional entries are ``(other, second, first, ordinal)``
   4-tuples for two-token sequence rules (fire iff ``first`` occurs
@@ -78,20 +76,21 @@ compat path for the whole artifact (``forced_compat``): correctness
 always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
 downgrade observable.
 
-**Pickling contract.** The compiled artifact is process-local (its
-verify lanes hold closures); crossing a process boundary re-lowers from
-the serialized rules. ``__reduce__`` ships ``rules_to_dicts`` payloads
-(enabled flags included) plus the frequency table, so a process-pool
-worker deserializes the rule set once per *worker* and compiles locally
-— never once per shard. Rule classes outside the serializable set (e.g.
-``PredicateRule``) make the artifact unpicklable, exactly like the
-interpreted partitioned executor's rule shipping.
+**Parity with the interpreted engine.** Fired maps and
+``rule_evaluations`` equal those of
+:class:`~repro.execution.executor.IndexedExecutor` over the same enabled
+rules, with one known exception. The interpreted anchor index misses the
+plural surface form of a ``ws?`` regex when the plural ``ws`` has at most
+three letters (``tvs?`` on ``'4k smart tvs'``), because
+:func:`~repro.utils.text.singular_form` leaves short words alone. The
+compiled lanes register both surface forms, so the compiled engine fires
+such a pair, agreeing with
+:class:`~repro.execution.executor.NaiveExecutor`, while recording no
+candidate evaluation for it. ``TestShortPluralDivergence`` in
+``tests/test_execution_compiled.py`` pins the divergence.
 
-Incremental invalidation rides the same generation-counter discipline as
-PR 3: ``add_rule`` / ``remove_rule`` patch only the lanes the rule
-occupies (a reverse contribution map records them), mark the touched
-tokens dirty, and bump ``generation``; folded entries are rebuilt lazily
-for dirty tokens (plus their plural carriers) on the next execution.
+The artifact is immutable: rules are lowered once at construction, then
+folded into the hot-loop entries. A changed rule set is recompiled.
 """
 
 from __future__ import annotations
@@ -125,7 +124,6 @@ from repro.core.rule import (
     _expand_alternations,
     _split_top_level,
 )
-from repro.core.serialize import rules_to_dicts
 from repro.execution.automaton import TokenAutomaton
 from repro.execution.executor import ExecutionStats, _checked_mode
 from repro.execution.rule_index import RuleIndex, rarest_anchor
@@ -230,23 +228,8 @@ def _make_regex_verifier(compiled: "re.Pattern") -> Callable[[list, set], bool]:
     return verify
 
 
-def _rebuild_compiled(
-    payloads: List[Dict[str, Any]],
-    token_frequency: Dict[str, int],
-    include_disabled: bool,
-) -> "CompiledRuleSet":
-    """Unpickle target: re-lower the shipped rules on the worker."""
-    from repro.core.serialize import rules_from_dicts
-
-    return CompiledRuleSet(
-        rules_from_dicts(payloads),
-        token_frequency=token_frequency,
-        include_disabled=include_disabled,
-    )
-
-
 class _Lanes:
-    """Mutable per-token lane accumulators (folded into tuples lazily)."""
+    """Per-token lane accumulators (folded into tuples at construction)."""
 
     __slots__ = ("fires", "verify", "cu", "cm", "pairs")
 
@@ -257,66 +240,41 @@ class _Lanes:
         self.cm: List[str] = []
         self.pairs: List[Tuple[str, str]] = []
 
-    def empty(self) -> bool:
-        return not (self.fires or self.verify or self.cu or self.cm or self.pairs)
-
 
 class CompiledRuleSet:
     """A rule set lowered into one combined matcher (see module docs).
 
     Build via :class:`RuleSetCompiler` (or directly); execute batches with
-    :meth:`execute`, single items with :meth:`match_item`. ``generation``
-    bumps on every ``add_rule`` / ``remove_rule``, mirroring the PR 3
-    store counters so cached consumers can detect churn cheaply.
-
-    ``include_disabled`` picks the counting contract:
-
-    * ``False`` (batch executors): disabled rules are excluded from the
-      artifact entirely — the interpreted :class:`IndexedExecutor` skips
-      them before counting an evaluation, so excluding them reproduces
-      both its fired map and its ``rule_evaluations``;
-    * ``True`` (the incremental executor): every rule participates —
-      the match store records condition-truth and filters ``enabled`` at
-      snapshot time, and its evaluation counter includes disabled
-      candidates.
+    :meth:`execute`, single items with :meth:`match_item`. Disabled rules
+    are excluded from the artifact entirely — the interpreted
+    :class:`IndexedExecutor` skips them before counting an evaluation, so
+    excluding them reproduces both its fired map and its
+    ``rule_evaluations`` (up to the exception in the module docstring).
     """
 
     def __init__(
         self,
         rules: Iterable[Rule] = (),
         token_frequency: Optional[Dict[str, int]] = None,
-        include_disabled: bool = False,
     ):
         self._freq: Dict[str, int] = dict(token_frequency or {})
-        self._include_disabled = include_disabled
         self._rules: Dict[str, Rule] = {}
-        self.generation = 0
-        # Raw (mutable) lanes and the reverse contribution map that makes
-        # rule removal O(lanes the rule occupies).
+        # Raw lanes, filled by lowering.
         self._raw: Dict[str, _Lanes] = {}
-        self._contrib: Dict[str, List[Tuple[Optional[str], str, Any]]] = {}
         # Folded (immutable-entry) probe dict consumed by the hot loop.
         self._post: Dict[str, tuple] = {}
         self._keys: Set[str] = set()
-        self._dirty_tokens: Set[str] = set()
         # Fired-id ordinal table: folded lanes carry small ints, decoded
-        # back to rule-id strings only when an item actually fires. The
-        # initial compile assigns ordinals in sorted(rule_id) order, so
-        # the hot loop can sort the (much cheaper) ints and decode in
-        # order; incremental adds append out of order and flip
-        # _table_sorted, falling back to a decode-then-sort. Ordinals are
-        # stable for the life of a rule_id (re-adding after a removal
-        # reuses the old slot), so per-token refolds never invalidate
-        # lanes folded earlier.
+        # back to rule-id strings only when an item actually fires.
+        # Ordinals follow sorted(rule_id) order, so the hot loop can sort
+        # the (much cheaper) ints and decode in order.
         self._ord: Dict[str, int] = {}
         self._table: List[str] = []
-        self._table_sorted = True
         self._ac_ord: Dict[str, int] = {}
         # Depth >= 3 phrase tier.
         self._ac = TokenAutomaton()
         self._ac_rid: Dict[str, str] = {}
         self._ac_gate: Optional[FrozenSet[str]] = None
-        self._ac_counter = 0
         # Residue lanes.
         self._attr_groups: Dict[str, List[str]] = {}
         self._value_rules: List[Tuple[str, str, str]] = []
@@ -331,7 +289,8 @@ class CompiledRuleSet:
         self._forced_compat = False
         self._lane_labels: Dict[str, str] = {}
         for rule in rules:
-            self.add_rule(rule)
+            self._add_rule(rule)
+        self._fold()
 
     # -- introspection ------------------------------------------------------------
 
@@ -340,10 +299,6 @@ class CompiledRuleSet:
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
-
-    @property
-    def include_disabled(self) -> bool:
-        return self._include_disabled
 
     @property
     def forced_compat(self) -> bool:
@@ -364,7 +319,6 @@ class CompiledRuleSet:
 
     def layout(self) -> Dict[str, int]:
         """Automaton layout counts (documented in DESIGN.md section 11)."""
-        self._refresh()
         depth1 = sum(
             1 for lanes in self._raw.values() for _ in lanes.fires
         )
@@ -380,108 +334,42 @@ class CompiledRuleSet:
             "residue_rules": self._n_residue,
         }
 
-    # -- compilation / churn ------------------------------------------------------
+    # -- lowering -----------------------------------------------------------------
 
     def _lane(self, token: str) -> _Lanes:
         lanes = self._raw.get(token)
         if lanes is None:
             lanes = self._raw[token] = _Lanes()
-        self._dirty_tokens.add(token)
         return lanes
 
-    def add_rule(self, rule: Rule) -> None:
-        """Lower one rule into the shared lanes (incremental add).
+    def _add_rule(self, rule: Rule) -> None:
+        """Lower one rule into the shared lanes.
 
         Mirrors :meth:`RuleIndex.add` candidate placement exactly; the
         fired surface is lowered per rule class. Disabled rules are
-        skipped entirely unless ``include_disabled``.
+        skipped entirely.
         """
         rid = rule.rule_id
         if rid in self._rules:
-            raise ValueError(f"rule {rid!r} already compiled; remove it first")
+            raise ValueError(f"rule {rid!r} compiled twice")
         self._rules[rid] = rule
-        self.generation += 1
-        if not self._include_disabled and not rule.enabled:
+        if not rule.enabled:
             self._lane_labels[rid] = "excluded (disabled)"
             return
         self._compat.add(rule)
-        self._contrib[rid] = contrib = []
-        self._lower_rule(rule, contrib)
+        self._lower_rule(rule)
 
-    def remove_rule(self, rule_id: str) -> bool:
-        """Un-lower one rule, touching only the lanes it occupies."""
-        rule = self._rules.pop(rule_id, None)
-        if rule is None:
-            return False
-        self.generation += 1
-        contrib = self._contrib.pop(rule_id, None)
-        self._lane_labels.pop(rule_id, None)
-        if contrib is None:  # was excluded as disabled
-            return True
-        self._compat.remove(rule_id)
-        for token, kind, payload in contrib:
-            if kind == "cu":
-                lanes = self._raw[token]
-                lanes.cu -= payload
-                self._dirty_tokens.add(token)
-            elif kind == "fire":
-                lanes = self._raw[token]
-                lanes.fires.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "verify":
-                lanes = self._raw[token]
-                lanes.verify.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "cm":
-                lanes = self._raw[token]
-                lanes.cm.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "pair":
-                lanes = self._raw[token]
-                lanes.pairs.remove(payload)
-                self._dirty_tokens.add(token)
-            elif kind == "ac":
-                self._ac.remove(payload)
-                self._ac_rid.pop(payload, None)
-                self._ac_gate = None
-            elif kind == "attr":
-                name, _rid = payload
-                group = self._attr_groups[name]
-                group.remove(_rid)
-                if not group:
-                    del self._attr_groups[name]
-                self._n_residue -= 1
-                self._attr_items = ()
-                self._dirty_tokens.add("")  # force a refresh pass
-            elif kind == "value":
-                self._value_rules.remove(payload)
-                self._n_residue -= 1
-                self._dirty_tokens.add("")
-            elif kind == "generic":
-                del self._generic[payload]
-                self._n_residue -= 1
-                self._dirty_tokens.add("")
-        if not self._forced_compat:
-            # Drop now-empty raw lanes so layout()/folding stay tight.
-            for token, kind, _ in contrib:
-                if token is not None:
-                    lanes = self._raw.get(token)
-                    if lanes is not None and lanes.empty():
-                        del self._raw[token]
-        self._dirty_tokens.add("")
-        return True
-
-    def _lower_rule(self, rule: Rule, contrib: List) -> None:
+    def _lower_rule(self, rule: Rule) -> None:
         rid = rule.rule_id
         if isinstance(rule, SequenceRule) and (
             type(rule).matches_prepared is SequenceRule.matches_prepared
         ):
-            self._lower_sequence(rule, contrib)
+            self._lower_sequence(rule)
             return
         if isinstance(rule, RegexRule) and (
             type(rule).matches_prepared is RegexRule.matches_prepared
         ):
-            self._lower_regex(rule, contrib)
+            self._lower_regex(rule)
             return
         if isinstance(rule, AttributeRule) and (
             type(rule).matches_prepared is AttributeRule.matches_prepared
@@ -489,9 +377,7 @@ class CompiledRuleSet:
             name = rule.attribute.lower()
             self._attr_groups.setdefault(name, []).append(rid)
             self._n_residue += 1
-            contrib.append((None, "attr", (name, rid)))
             self._lane_labels[rid] = "residue-attribute"
-            self._dirty_tokens.add("")
             return
         if isinstance(rule, ValueConstraintRule) and (
             type(rule).matches_prepared is ValueConstraintRule.matches_prepared
@@ -499,9 +385,7 @@ class CompiledRuleSet:
             entry = (rule.attribute.lower(), rule.value, rid)
             self._value_rules.append(entry)
             self._n_residue += 1
-            contrib.append((None, "value", entry))
             self._lane_labels[rid] = "residue-value"
-            self._dirty_tokens.add("")
             return
         anchors = rule.anchor_literals()
         if not anchors:
@@ -510,22 +394,18 @@ class CompiledRuleSet:
             # the RuleIndex residue list.
             self._generic[rid] = rule
             self._n_residue += 1
-            contrib.append((None, "generic", rid))
             self._lane_labels[rid] = "residue-generic"
-            self._dirty_tokens.add("")
             return
         # An anchored rule class the compiler cannot prove it understands:
         # correctness first — skip compilation for the whole artifact.
         self._forced_compat = True
         self._lane_labels[rid] = "compat (unknown anchored rule class)"
 
-    def _lower_sequence(self, rule: SequenceRule, contrib: List) -> None:
+    def _lower_sequence(self, rule: SequenceRule) -> None:
         rid = rule.rule_id
         sequence = rule.token_sequence
         anchor = rarest_anchor(sequence, self._freq)
-        lanes = self._lane(anchor)
-        lanes.cu += 1
-        contrib.append((anchor, "cu", 1))
+        self._lane(anchor).cu += 1
         if any(token in STOPWORDS for token in sequence):
             # matches_prepared filters stop words out of the title before
             # the in-order walk, so a stop-word-bearing sequence can never
@@ -535,68 +415,52 @@ class CompiledRuleSet:
         if len(sequence) == 1:
             token = sequence[0]
             self._lane(token).fires.append(rid)
-            contrib.append((token, "fire", rid))
             self._lane_labels[rid] = "depth1-fire"
         elif len(sequence) == 2:
-            entry = (sequence[1], sequence[0], rid)
-            lanes = self._lane(anchor)
-            lanes.verify.append(entry)
-            contrib.append((anchor, "verify", entry))
+            self._lane(anchor).verify.append((sequence[1], sequence[0], rid))
             self._lane_labels[rid] = "verify-pair-order"
         else:
-            entry = (None, _make_seq_verifier(sequence), rid)
-            lanes = self._lane(anchor)
-            lanes.verify.append(entry)
-            contrib.append((anchor, "verify", entry))
+            self._lane(anchor).verify.append(
+                (None, _make_seq_verifier(sequence), rid)
+            )
             self._lane_labels[rid] = "verify-sequence"
 
-    def _lower_regex(self, rule: RegexRule, contrib: List) -> None:
+    def _lower_regex(self, rule: RegexRule) -> None:
         rid = rule.rule_id
         anchors = rule.anchor_literals()
         if not anchors:
             self._generic[rid] = rule
             self._n_residue += 1
-            contrib.append((None, "generic", rid))
             self._lane_labels[rid] = "residue-generic"
-            self._dirty_tokens.add("")
             return
         # Candidate accounting: identical placement to RuleIndex postings.
         if len(anchors) == 1:
             anchor = next(iter(anchors))
             self._lane(anchor).cu += 1
-            contrib.append((anchor, "cu", 1))
         else:
             for anchor in anchors:
                 self._lane(anchor).cm.append(rid)
-                contrib.append((anchor, "cm", rid))
         lowered = _lower_regex_branches(rule.pattern)
         if lowered is None:
             entry = (None, _make_regex_verifier(rule._compiled), rid)
             for anchor in anchors:
                 self._lane(anchor).verify.append(entry)
-                contrib.append((anchor, "verify", entry))
             self._lane_labels[rid] = "verify-regex"
             return
         words, phrases = lowered
         labels = []
         for word in words:
             self._lane(word).fires.append(rid)
-            contrib.append((word, "fire", rid))
         if words:
             labels.append("depth1-fire")
         for phrase in sorted(phrases):
             if len(phrase) == 2:
-                entry = (phrase[1], rid)
-                self._lane(phrase[0]).pairs.append(entry)
-                contrib.append((phrase[0], "pair", entry))
+                self._lane(phrase[0]).pairs.append((phrase[1], rid))
                 labels.append("depth2-pair")
             else:
-                self._ac_counter += 1
-                pattern_id = f"{rid}\x00{self._ac_counter}"
+                pattern_id = f"{rid}\x00{len(self._ac_rid)}"
                 self._ac.add(phrase, pattern_id)
                 self._ac_rid[pattern_id] = rid
-                self._ac_gate = None
-                contrib.append((None, "ac", pattern_id))
                 labels.append("automaton-phrase")
         self._lane_labels[rid] = "+".join(dict.fromkeys(labels)) or "depth1-fire"
 
@@ -652,11 +516,9 @@ class CompiledRuleSet:
                     base_lanes.cu,
                     tuple(ord_[rid] for rid in base_lanes.cm),
                 )
-        if lanes is None or lanes.empty():
-            if bridge is None:
-                self._post.pop(token, None)
-                return
-            self._post[token] = ((), None, 0, (), bridge, None)
+        if lanes is None:
+            if bridge is not None:
+                self._post[token] = ((), None, 0, (), bridge, None)
             return
         pairs = None
         if lanes.pairs:
@@ -676,43 +538,26 @@ class CompiledRuleSet:
             pairs,
         )
 
-    def _refresh(self) -> None:
-        """Rebuild folded entries for dirty tokens (and plural carriers)."""
-        if self._dirty_tokens:
-            pending = sorted(
-                rid for rid in self._contrib if rid not in self._ord
-            )
-            if pending:
-                table = self._table
-                ord_ = self._ord
-                for rid in pending:
-                    if table and rid < table[-1]:
-                        self._table_sorted = False
-                    ord_[rid] = len(table)
-                    table.append(rid)
-            for token in list(self._dirty_tokens):
-                if not token:
-                    continue
-                self._fold_token(token)
-                self._fold_token(token + "s")
-            self._dirty_tokens.clear()
-            self._keys = set(self._post)
-            ord_ = self._ord
-            self._attr_items = tuple(
-                (name, tuple(ord_[rid] for rid in rids))
-                for name, rids in sorted(self._attr_groups.items())
-            )
-            self._value_items = tuple(
-                (name, value, ord_[rid])
-                for name, value, rid in self._value_rules
-            )
-            self._generic_items = tuple(
-                (ord_[rid], rule) for rid, rule in self._generic.items()
-            )
-            self._ac_ord = {
-                pid: ord_[rid] for pid, rid in self._ac_rid.items()
-            }
-        if self._ac_gate is None and len(self._ac):
+    def _fold(self) -> None:
+        """Fold the raw lanes into the hot-loop entries (once, at build)."""
+        self._table = sorted(self._rules)
+        ord_ = self._ord = {rid: o for o, rid in enumerate(self._table)}
+        for token in list(self._raw):
+            self._fold_token(token)
+            self._fold_token(token + "s")
+        self._keys = set(self._post)
+        self._attr_items = tuple(
+            (name, tuple(ord_[rid] for rid in rids))
+            for name, rids in sorted(self._attr_groups.items())
+        )
+        self._value_items = tuple(
+            (name, value, ord_[rid]) for name, value, rid in self._value_rules
+        )
+        self._generic_items = tuple(
+            (ord_[rid], rule) for rid, rule in self._generic.items()
+        )
+        self._ac_ord = {pid: ord_[rid] for pid, rid in self._ac_rid.items()}
+        if len(self._ac):
             self._ac_gate = frozenset(
                 self._ac.gate_tokens(
                     choose=lambda tokens: rarest_anchor(tokens, self._freq)
@@ -837,11 +682,11 @@ class CompiledRuleSet:
     def match_item(self, item: ItemLike) -> Tuple[List[str], int]:
         """(sorted fired rule ids, candidate evaluations) for one item.
 
-        The per-item entry point the incremental executor uses; identical
-        fired output and evaluation count to probing a
-        :class:`RuleIndex` and running ``matches_prepared`` per candidate.
+        The same fired output and evaluation count as probing a
+        :class:`RuleIndex` and running ``matches_prepared`` per candidate,
+        except for the short-plural pairs the module docstring describes
+        (fired here, missed by the index, counted as no evaluation).
         """
-        self._refresh()
         lowered = item.title.lower()
         if self._forced_compat or _CLEAN_TITLE(lowered) is None:
             hits, n_candidates = self._match_compat(item)
@@ -864,9 +709,11 @@ class CompiledRuleSet:
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
         """Run the compiled matcher over a batch.
 
-        Fired map and counters are byte-/count-identical to
-        ``IndexedExecutor(rules).run(items)`` over the same (enabled)
-        rules. ``phase_timing`` (implied by enabled observability) runs
+        Fired map and counters equal ``IndexedExecutor(rules).run(items)``
+        over the same (enabled) rules, except for the short-plural pairs
+        the module docstring describes: those fire here (as under
+        :class:`NaiveExecutor`) with no evaluation counted, and the index
+        misses them. ``phase_timing`` (implied by enabled observability) runs
         the instrumented two-phase variant that attributes time to
         ``exec.prefilter`` (tokenize + depth-1 intersection) and
         ``exec.verify`` (lanes, residue, output) spans and stats fields;
@@ -877,7 +724,6 @@ class CompiledRuleSet:
         clk = clock if clock is not None else time.perf_counter
         if stats is None:
             stats = ExecutionStats()
-        self._refresh()
         fired: Dict[str, List[str]] = {}
         started = clk()
         # Pause cyclic GC for the batch: the compiled artifact is a large
@@ -926,7 +772,6 @@ class CompiledRuleSet:
         forced = self._forced_compat
         match_compat = self._match_compat
         table = self._table
-        table_sorted = self._table_sorted
         n_evaluations = 0
         n_matches = 0
         for item in items:
@@ -1034,20 +879,17 @@ class CompiledRuleSet:
                         n_candidates += len(cmset)
                     n_evaluations += n_candidates
                     if flist:
-                        if table_sorted:
-                            # Sorting ordinals sorts rule ids (the table is
-                            # lexicographic); dedupe during decode to skip a
-                            # set construction on the per-item hot path.
-                            flist.sort()
-                            prev = -1
-                            fires_out = []
-                            out_append = fires_out.append
-                            for o in flist:
-                                if o != prev:
-                                    out_append(table[o])
-                                    prev = o
-                        else:
-                            fires_out = sorted({table[o] for o in flist})
+                        # Sorting ordinals sorts rule ids (the table is
+                        # lexicographic); dedupe during decode to skip a
+                        # set construction on the per-item hot path.
+                        flist.sort()
+                        prev = -1
+                        fires_out = []
+                        out_append = fires_out.append
+                        for o in flist:
+                            if o != prev:
+                                out_append(table[o])
+                                prev = o
                         n_matches += len(fires_out)
                         fired[item.item_id] = fires_out
                 else:
@@ -1179,19 +1021,6 @@ class CompiledRuleSet:
         hits, _ = self.match_item(item)
         return [self.explain(item, rule_id) for rule_id in hits]
 
-    # -- pickling (see module docstring: re-lower on the worker) -------------------
-
-    def __reduce__(self):
-        return (
-            _rebuild_compiled,
-            (
-                rules_to_dicts(list(self._rules.values())),
-                dict(self._freq),
-                self._include_disabled,
-            ),
-        )
-
-
 class RuleSetCompiler:
     """Front door: lower rule sets into :class:`CompiledRuleSet` artifacts.
 
@@ -1212,7 +1041,6 @@ class RuleSetCompiler:
     def compile(
         self,
         rules: Iterable[Rule],
-        include_disabled: bool = False,
         stats: Optional[ExecutionStats] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> CompiledRuleSet:
@@ -1221,12 +1049,7 @@ class RuleSetCompiler:
         rules = list(rules)
         with self.observability.span("exec.compile", rules=len(rules)):
             started = clk()
-            compiled = CompiledRuleSet(
-                rules,
-                token_frequency=self.token_frequency,
-                include_disabled=include_disabled,
-            )
-            compiled._refresh()
+            compiled = CompiledRuleSet(rules, token_frequency=self.token_frequency)
             elapsed = clk() - started
         if stats is not None:
             stats.compile_time += elapsed

@@ -270,17 +270,10 @@ class IndexedExecutor:
     Results are identical to :class:`NaiveExecutor` (the index is sound);
     only the work differs.
 
-    ``compiled=True`` routes runs through the compiled execution layer
-    (:mod:`repro.execution.compiler`): the rule set is lowered once into a
-    combined matcher (span ``exec.compile``, cost on
-    ``stats.compile_time``) and the artifact is reused across batches.
-    Recompilation happens only when the set of disabled rules changes —
-    the compile cache is keyed by it, so flipping ``rule.enabled`` flags
-    between runs stays correct without a manual invalidation call. Fired
-    maps and ``rule_evaluations`` are identical to the interpreted path;
-    the one accounting divergence is that tokenization is fused into
-    matching, so ``prepare_time`` stays ~0 and its cost lands in
-    ``match_time``.
+    This is the interpreted reference engine that the compiled engine
+    (:class:`~repro.execution.compiler.CompiledRuleSet`) is compared
+    against; batch callers that want the compiled engine call
+    ``RuleSetCompiler(...).compile(rules).execute(items)`` directly.
     """
 
     def __init__(
@@ -291,69 +284,18 @@ class IndexedExecutor:
         prepared_cache: Optional[PreparedCache] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         self.rules = list(rules)
-        self.compiled = bool(compiled)
-        self._token_frequency = dict(token_frequency or {})
         self.index = RuleIndex(self.rules, token_frequency=token_frequency)
         self.on_error = _checked_mode(on_error)
         self.prepared_cache = prepared_cache
         self.observability = ensure_observability(observability)
         self._clock = clock if clock is not None else time.perf_counter
-        # disabled-rule-id fingerprint -> compiled artifact (see class docs).
-        self._compiled_cache: Dict[frozenset, object] = {}
-
-    def compiled_ruleset(self, stats: Optional[ExecutionStats] = None):
-        """The compiled artifact for the current enabled-flag state.
-
-        Compiles on first use (or after enabled-flag churn) under an
-        ``exec.compile`` span; otherwise returns the cached artifact.
-        """
-        from repro.execution.compiler import RuleSetCompiler
-
-        fingerprint = frozenset(r.rule_id for r in self.rules if not r.enabled)
-        artifact = self._compiled_cache.get(fingerprint)
-        if artifact is None:
-            compiler = RuleSetCompiler(
-                token_frequency=self._token_frequency,
-                observability=self.observability,
-            )
-            artifact = compiler.compile(self.rules, stats=stats, clock=self._clock)
-            self._compiled_cache[fingerprint] = artifact
-        return artifact
-
-    def _run_compiled(
-        self, items: Sequence[ItemLike]
-    ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
-        stats = ExecutionStats()
-        obs = self.observability
-        clock = self._clock
-        with obs.span(
-            "exec.indexed.run", rules=len(self.rules), items=len(items), compiled=True
-        ) as run_span:
-            started = clock()
-            artifact = self.compiled_ruleset(stats=stats)
-            fired, stats = artifact.execute(
-                items,
-                on_error=self.on_error,
-                observability=obs,
-                clock=clock,
-                stats=stats,
-            )
-            stats.wall_time = clock() - started
-            run_span.set_attribute("rule_evaluations", stats.rule_evaluations)
-            run_span.set_attribute("matches", stats.matches)
-        obs.observe_execution(stats, executor="indexed")
-        obs.observe_fired(fired)
-        return fired, stats
 
     def run(
         self, items: Sequence[ItemLike]
     ) -> Tuple[Dict[str, List[str]], ExecutionStats]:
         """Returns (item_id -> sorted fired rule ids, stats)."""
-        if self.compiled:
-            return self._run_compiled(items)
         stats = ExecutionStats()
         fired: Dict[str, List[str]] = {}
         candidates = self.index.candidates

@@ -60,7 +60,6 @@ from repro.core.prepared import (
 )
 from repro.core.rule import Rule
 from repro.core.ruleset import RuleSet
-from repro.execution.compiler import CompiledRuleSet
 from repro.execution.data_index import DataIndex
 from repro.execution.executor import ExecutionStats
 from repro.execution.rule_index import RuleIndex
@@ -256,16 +255,9 @@ class IncrementalExecutor:
     Evaluation is fail-fast: a raising rule/record propagates (wrap inputs
     upstream; the degraded modes live on the batch executors).
 
-    ``compiled=True`` routes the *item-side* delta (the hot path — every
-    arriving batch) through a :class:`~repro.execution.compiler.CompiledRuleSet`
-    maintained incrementally alongside the rule base: rule churn patches
-    only the compiled lanes the rule occupies (no full recompile), riding
-    the same generation-counter discipline as the match store. The
-    artifact is compiled with ``include_disabled=True`` because the store
-    records condition-truth for disabled rules too; fired maps, per-op
-    evaluation counts, and the store contents are identical either way.
-    Rule-side deltas (one changed rule over its candidate rows) stay
-    interpreted — they are O(one rule) and gain nothing from lowering.
+    Both delta sides run on the interpreted indexes: the compiled engine
+    was measured as the daemon's tracker and gained no end-to-end
+    throughput while making rule registration dearer (DESIGN.md §11).
     """
 
     def __init__(
@@ -277,7 +269,6 @@ class IncrementalExecutor:
         monitor: Optional[object] = None,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         self.prepared_cache: PreparedCache = (
             prepared_cache if prepared_cache is not None else {}
@@ -288,13 +279,6 @@ class IncrementalExecutor:
         self._data_index = DataIndex(cache=self.prepared_cache)
         self._rule_index = RuleIndex(
             token_frequency=token_frequency, prepared_cache=self.prepared_cache
-        )
-        self._compiled: Optional[CompiledRuleSet] = (
-            CompiledRuleSet(
-                (), token_frequency=token_frequency, include_disabled=True
-            )
-            if compiled
-            else None
         )
         self.store = MatchStore()
         self.stats = ExecutionStats()
@@ -407,16 +391,11 @@ class IncrementalExecutor:
                 prepared = prepare_cached(item, self.prepared_cache).warm(anchors=True)
                 op.prepare_time += self._clock() - prepare_started
                 self._data_index.add(prepared.item)
-                hits: List[str]
-                if self._compiled is not None:
-                    hits, n_evaluated = self._compiled.match_item(prepared)
-                    op.rule_evaluations += n_evaluated
-                else:
-                    hits = []
-                    for rule in self._rule_index.candidates(prepared):
-                        op.rule_evaluations += 1
-                        if rule.matches_prepared(prepared):
-                            hits.append(rule.rule_id)
+                hits: List[str] = []
+                for rule in self._rule_index.candidates(prepared):
+                    op.rule_evaluations += 1
+                    if rule.matches_prepared(prepared):
+                        hits.append(rule.rule_id)
                 op.invalidations += self.store.set_item_matches(prepared.item_id, hits)
                 op.matches += len(hits)
                 op.items += 1
@@ -447,8 +426,6 @@ class IncrementalExecutor:
                     )
                 self._rules[rule.rule_id] = rule
                 self._rule_index.add(rule)
-                if self._compiled is not None:
-                    self._compiled.add_rule(rule)
                 self._evaluate_rule(rule, op)
                 op.delta_rules += 1
             return self._finish("add_rules", op, started)
@@ -463,8 +440,6 @@ class IncrementalExecutor:
                     raise UnknownRuleError(rule_id)
                 del self._rules[rule_id]
                 self._rule_index.remove(rule_id)
-                if self._compiled is not None:
-                    self._compiled.remove_rule(rule_id)
                 op.invalidations += self.store.discard_rule(rule_id)
                 op.delta_rules += 1
             return self._finish("remove_rules", op, started)
@@ -486,9 +461,6 @@ class IncrementalExecutor:
             self._rules[rule.rule_id] = rule
             self._rule_index.remove(rule.rule_id)
             self._rule_index.add(rule)
-            if self._compiled is not None:
-                self._compiled.remove_rule(rule.rule_id)
-                self._compiled.add_rule(rule)
             self._evaluate_rule(rule, op)
             op.delta_rules += 1
             return self._finish("update_rule", op, started)
@@ -504,16 +476,11 @@ class IncrementalExecutor:
             started = self._clock()
             op.invalidations += self.store.clear()
             for _row, prepared in self._data_index.live_rows():
-                hits: List[str]
-                if self._compiled is not None:
-                    hits, n_evaluated = self._compiled.match_item(prepared)
-                    op.rule_evaluations += n_evaluated
-                else:
-                    hits = []
-                    for rule in self._rule_index.candidates(prepared):
-                        op.rule_evaluations += 1
-                        if rule.matches_prepared(prepared):
-                            hits.append(rule.rule_id)
+                hits: List[str] = []
+                for rule in self._rule_index.candidates(prepared):
+                    op.rule_evaluations += 1
+                    if rule.matches_prepared(prepared):
+                        hits.append(rule.rule_id)
                 self.store.set_item_matches(prepared.item_id, hits)
                 op.matches += len(hits)
                 op.items += 1

@@ -168,25 +168,6 @@ def _run_shard(
     return shard_id, fired, stats
 
 
-def _run_shard_compiled(
-    shard_id: int,
-    artifact: Any,
-    shard_items: Sequence[ItemLike],
-    clock: Optional[Callable[[], float]] = None,
-) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """In-process compiled shard: one shared artifact, raw items.
-
-    The driver compiles once and every shard (and retry attempt) runs the
-    same read-only artifact — tokenization is fused into matching, so the
-    shard needs no prepared payloads at all.
-    """
-    clk = clock if clock is not None else time.perf_counter
-    started = clk()
-    fired, stats = artifact.execute(shard_items, clock=clock)
-    stats.wall_time = clk() - started
-    return shard_id, fired, stats
-
-
 def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]]:
     """Deal ``items`` round-robin into ``n_shards`` lists (some may be empty).
 
@@ -202,43 +183,27 @@ def partition_round_robin(items: Sequence[Any], n_shards: int) -> List[List[Any]
     return shards
 
 
-# Per-process worker state, installed once by the pool initializer. The
-# satellite-1 pickling contract hangs on this: rules (and, in compiled
-# mode, the compiled artifact — re-lowered from its serialized rules by
-# ``CompiledRuleSet.__reduce__``) cross the process boundary once per
-# *worker* via the initializer, so each shard submission carries only its
-# own items and pickle size stays O(shard items).
+# Per-process worker state, installed once by the pool initializer: rules
+# cross the process boundary once per *worker*, so each shard submission
+# carries only its own items and pickle size stays O(shard items).
 _WORKER_STATE: Dict[str, Any] = {}
 
 
 def _init_worker(
     rule_payloads: List[Dict[str, Any]],
     token_frequency: Optional[Dict[str, int]],
-    compiled_artifact: Optional[Any],
 ) -> None:
-    _WORKER_STATE["token_frequency"] = token_frequency
-    _WORKER_STATE["compiled"] = compiled_artifact
-    if compiled_artifact is None:
-        _WORKER_STATE["executor"] = IndexedExecutor(
-            rules_from_dicts(rule_payloads), token_frequency=token_frequency
-        )
+    _WORKER_STATE["executor"] = IndexedExecutor(
+        rules_from_dicts(rule_payloads), token_frequency=token_frequency
+    )
 
 
 def _run_shard_pooled(
-    shard_id: int, shard_payload: List[Any]
+    shard_id: int, shard_payload: List[Dict[str, Any]]
 ) -> Tuple[int, Dict[str, List[str]], ExecutionStats]:
-    """Process-pool worker entry point: only the shard's items travel.
-
-    Interpreted mode ships prepared-item payloads and runs the worker's
-    per-process :class:`IndexedExecutor`; compiled mode ships raw items
-    and runs the worker's compiled artifact directly.
-    """
-    artifact = _WORKER_STATE["compiled"]
-    if artifact is not None:
-        started = time.perf_counter()
-        fired, stats = artifact.execute(shard_payload)
-        stats.wall_time = time.perf_counter() - started
-        return shard_id, fired, stats
+    """Process-pool worker entry point: only the shard's prepared-item
+    payloads travel; the worker's per-process :class:`IndexedExecutor`
+    runs them."""
     shard_items = [PreparedItem.from_payload(payload) for payload in shard_payload]
     fired, stats = _WORKER_STATE["executor"].run(shard_items)
     return shard_id, fired, stats
@@ -258,15 +223,6 @@ class PartitionedExecutor:
     * ``sleep`` — the backoff sleep callable (tests inject a
       :class:`~repro.testing.faults.VirtualSleeper`);
     * ``retry_seed`` — seeds the backoff jitter RNG.
-
-    ``compiled=True`` switches shards to the compiled execution layer
-    (:mod:`repro.execution.compiler`): the driver lowers the rule set once
-    and every in-process shard shares the read-only artifact, while
-    process-pool workers receive it once each through the pool initializer
-    (re-lowered from its serialized rules on arrival — the pickling
-    contract) and shard submissions carry only raw items. The resilience
-    machinery (retry rotation, fault injection, output validation,
-    degraded mode) is identical in both modes.
     """
 
     def __init__(
@@ -282,15 +238,12 @@ class PartitionedExecutor:
         retry_seed: int = 0,
         observability: Optional[Observability] = None,
         clock: Optional[Callable[[], float]] = None,
-        compiled: bool = False,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         self.rule_payloads = rules_to_dicts(rules)
-        self.compiled = bool(compiled)
-        self._driver_compiled: Optional[Any] = None
         self.n_workers = n_workers
         self.use_processes = use_processes
         self.token_frequency = token_frequency
@@ -307,53 +260,20 @@ class PartitionedExecutor:
 
     def _shards(
         self, items: Sequence[ItemLike]
-    ) -> Tuple[List[List[Any]], List[List[str]], float]:
-        """Round-robin shards (payloads, or raw items when compiled), ids, time.
-
-        Compiled shards carry the raw item records: the artifact tokenizes
-        inline, so shipping prepared token views would be pure overhead.
-        """
+    ) -> Tuple[List[List[Dict[str, Any]]], List[List[str]], float]:
+        """Round-robin prepared-payload shards, their item ids, and time."""
         started = self._clock()
-        if self.compiled:
-            records = [
-                item.item if isinstance(item, PreparedItem) else item
-                for item in items
-            ]
-            shards = partition_round_robin(records, self.n_workers)
-            shard_ids = [
-                [record.item_id for record in shard] for shard in shards
-            ]
-        else:
-            prepared_shards = partition_round_robin(
-                [prepare(item) for item in items], self.n_workers
-            )
-            shards = [
-                [prepared.to_payload() for prepared in shard]
-                for shard in prepared_shards
-            ]
-            shard_ids = [
-                [prepared.item_id for prepared in shard]
-                for shard in prepared_shards
-            ]
+        prepared_shards = partition_round_robin(
+            [prepare(item) for item in items], self.n_workers
+        )
+        shards = [
+            [prepared.to_payload() for prepared in shard]
+            for shard in prepared_shards
+        ]
+        shard_ids = [
+            [prepared.item_id for prepared in shard] for shard in prepared_shards
+        ]
         return shards, shard_ids, self._clock() - started
-
-    def _compiled_artifact(self) -> Any:
-        """The driver's compiled artifact (lowered once, reused across runs)."""
-        if self._driver_compiled is None:
-            from repro.execution.compiler import RuleSetCompiler
-
-            compiler = RuleSetCompiler(
-                token_frequency=self.token_frequency,
-                observability=self.observability,
-            )
-            # Compile from the shipped payloads, not the caller's rule
-            # objects: shard semantics are frozen at construction time by
-            # rule_payloads, and the driver must execute the same frozen
-            # rule set the interpreted workers would.
-            self._driver_compiled = compiler.compile(
-                rules_from_dicts(self.rule_payloads)
-            )
-        return self._driver_compiled
 
     def _worker_for(self, shard_id: int, attempt: int) -> int:
         """Rotate a retried shard onto the next worker (re-dispatch)."""
@@ -387,16 +307,10 @@ class PartitionedExecutor:
                     with obs.span(
                         "shard", shard=shard_id, worker=worker, attempt=attempt
                     ):
-                        if self.compiled:
-                            output = _run_shard_compiled(
-                                shard_id, self._compiled_artifact(),
-                                shards[shard_id], clock=self._clock,
-                            )
-                        else:
-                            output = _run_shard(
-                                shard_id, self.rule_payloads, shards[shard_id],
-                                self.token_frequency, clock=self._clock,
-                            )
+                        output = _run_shard(
+                            shard_id, self.rule_payloads, shards[shard_id],
+                            self.token_frequency, clock=self._clock,
+                        )
                 except Exception as exc:  # a real worker fault, not injected
                     outcomes[shard_id] = WorkerCrash(f"shard {shard_id} raised: {exc!r}")
                     continue
@@ -405,9 +319,8 @@ class PartitionedExecutor:
                     output = spec.corrupt_output(output)
                 outcomes[shard_id] = output
             else:
-                # Only the shard's own items travel: rules (and the
-                # compiled artifact) reached every worker once, via the
-                # pool initializer.
+                # Only the shard's own items travel: rules reached every
+                # worker once, via the pool initializer.
                 future = pool.submit(_run_shard_pooled, shard_id, shards[shard_id])
                 submitted.append((shard_id, future, spec, worker))
         if submitted:
@@ -458,11 +371,6 @@ class PartitionedExecutor:
             started = clock()
             with obs.span("prepare"):
                 shards, shard_item_ids, driver_prepare_time = self._shards(items)
-            driver_compile_time = 0.0
-            if self.compiled:
-                compile_started = clock()
-                self._compiled_artifact()
-                driver_compile_time = clock() - compile_started
             policy = self.retry_policy
             rng = random.Random(self.retry_seed)
             events: List[FaultEvent] = []
@@ -475,11 +383,7 @@ class PartitionedExecutor:
                     pool = ProcessPoolExecutor(
                         max_workers=self.n_workers,
                         initializer=_init_worker,
-                        initargs=(
-                            self.rule_payloads,
-                            self.token_frequency,
-                            self._compiled_artifact() if self.compiled else None,
-                        ),
+                        initargs=(self.rule_payloads, self.token_frequency),
                     )
                 pending = list(range(self.n_workers))
                 attempt = 0
@@ -580,7 +484,6 @@ class PartitionedExecutor:
                             )
                         )
             total.prepare_time += driver_prepare_time
-            total.compile_time += driver_compile_time
             total.wall_time = clock() - started
             run_span.set_attribute("rule_evaluations", total.rule_evaluations)
             run_span.set_attribute("matches", total.matches)

@@ -1,28 +1,27 @@
-"""YAML loading for scenario specs, with a dependency-free fallback.
+"""YAML loading for scenario specs: one dependency-free parser.
 
 Scenario specs are plain YAML documents (ROADMAP item 4, in the style of
-the Ouroboros seed-authoring guide in SNIPPETS.md). PyYAML is used when
-importable, but it is *not* a hard dependency of the library: the
-fallback parser below understands the strict subset the shipped library
-files use — nested mappings and lists by indentation, inline ``[a, b]``
-lists and ``{k: v}`` maps, quoted and plain scalars, comments — so the
-harness works on a bare ``numpy/scipy`` install.
+the Ouroboros seed-authoring guide in SNIPPETS.md). The parser below
+understands the strict subset the shipped library files use — nested
+mappings and lists by indentation, inline ``[a, b]`` lists and ``{k: v}``
+maps, quoted and plain scalars, comments — so the harness works on a bare
+``numpy/scipy`` install, and a spec parses the same whether or not PyYAML
+happens to be installed: PyYAML is never consulted.
 
-The subset is deliberately strict (tabs, anchors, multi-document streams
-and block scalars are rejected with positioned errors) because a scenario
-file that parses differently under the two parsers would silently break
-the determinism contract. ``tests/test_scenario_spec.py`` parses every
-shipped spec with both parsers and asserts identical trees.
+The subset is deliberately strict (tabs, anchors, aliases, tags,
+multi-document streams and block scalars are rejected with positioned
+errors) so that every file it accepts means the same to a full YAML
+parser. ``tests/test_scenario_spec.py`` parses every shipped spec with
+PyYAML too, when it is installed, and asserts identical trees.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised indirectly; absence is the tested path
-    import yaml as _pyyaml
-except ImportError:  # pragma: no cover
-    _pyyaml = None
+# Plain scalars may not start with these YAML indicators; a full parser
+# would read them as anchors, aliases, tags or block scalars.
+_UNSUPPORTED_INDICATORS = "&*!|>"
 
 
 class YamlError(ValueError):
@@ -44,6 +43,11 @@ def _parse_scalar(text: str, line_no: int) -> Any:
         if len(text) < 2 or text[-1] != quote:
             raise YamlError(f"unterminated {quote} string: {text!r}", line_no)
         return text[1:-1]
+    if text[0] in _UNSUPPORTED_INDICATORS:
+        raise YamlError(
+            f"unsupported YAML feature {text[0]!r} "
+            f"(anchors/aliases/tags/block scalars): {text!r}", line_no
+        )
     lowered = text.lower()
     if lowered in ("null", "~"):
         return None
@@ -141,12 +145,6 @@ def _logical_lines(text: str) -> List[Tuple[int, int, str]]:
             if out:
                 raise YamlError("multi-document streams are not supported", number)
             continue
-        for marker in ("&", "*", "|", ">"):
-            if stripped.strip().endswith(f": {marker}") or stripped.strip() == marker:
-                raise YamlError(
-                    f"unsupported YAML feature {marker!r} "
-                    "(anchors/aliases/block scalars)", number
-                )
         indent = len(stripped) - len(stripped.lstrip(" "))
         out.append((number, indent, stripped.strip()))
     return out
@@ -239,7 +237,7 @@ def _parse_map(lines, start: int, indent: int) -> Tuple[dict, int]:
 
 
 def fallback_load(text: str) -> Any:
-    """Parse the supported YAML subset without PyYAML."""
+    """Parse the supported YAML subset (the only loader; see module docs)."""
     lines = _logical_lines(text)
     if not lines:
         return None
@@ -253,10 +251,5 @@ def fallback_load(text: str) -> Any:
 
 
 def safe_load(text: str) -> Any:
-    """Parse YAML ``text`` with PyYAML when available, else the fallback."""
-    if _pyyaml is not None:
-        try:
-            return _pyyaml.safe_load(text)
-        except _pyyaml.YAMLError as error:  # normalize the exception type
-            raise YamlError(f"invalid YAML: {error}") from error
+    """Parse YAML ``text`` with :func:`fallback_load`, never PyYAML."""
     return fallback_load(text)

@@ -1,10 +1,12 @@
-"""Compiled execution layer: automaton, lowering, parity, churn, pickling.
+"""Compiled execution layer: automaton, lowering, parity, explain.
 
-The contract under test everywhere: the compiled path is an *optimizer*,
+The contract under test everywhere: the compiled engine is an *optimizer*,
 never a semantic fork — fired maps, evaluation counts, skip accounting,
 and explain output must be indistinguishable from the interpreted
 executors on every input, including the traps (plural-bridge collisions,
-stop-word sequences, dirty titles, disabled rules).
+stop-word sequences, dirty titles, disabled rules). The one known
+exception, short-plural regexes the interpreted anchor index misses, is
+pinned in :class:`TestShortPluralDivergence`.
 """
 
 import pickle
@@ -26,11 +28,12 @@ from repro.core.rule import (
     ValueConstraintRule,
     WhitelistRule,
 )
-from repro.core.serialize import UnserializableRuleError
 from repro.execution import (
     CompiledRuleSet,
+    ExecutionStats,
     IncrementalExecutor,
     IndexedExecutor,
+    NaiveExecutor,
     PartitionedExecutor,
     RuleIndex,
     RuleSetCompiler,
@@ -52,10 +55,14 @@ def item(item_id, title, attributes=None):
     )
 
 
-def assert_parity(rules, items, **executor_kwargs):
+def run_compiled(rules, items, **execute_kwargs):
+    return RuleSetCompiler().compile(rules).execute(items, **execute_kwargs)
+
+
+def assert_parity(rules, items):
     """Fired map AND evaluation count identical, interpreted vs compiled."""
-    fired_i, stats_i = IndexedExecutor(rules, **executor_kwargs).run(items)
-    fired_c, stats_c = IndexedExecutor(rules, compiled=True, **executor_kwargs).run(items)
+    fired_i, stats_i = IndexedExecutor(rules).run(items)
+    fired_c, stats_c = run_compiled(rules, items)
     assert fired_c == fired_i
     assert stats_c.rule_evaluations == stats_i.rule_evaluations
     assert stats_c.matches == stats_i.matches
@@ -302,7 +309,7 @@ class TestCompiledParityPerRuleClass:
         items = [item("i1", "gold ring"), item("i2", "silver ring"),
                  item("i3", "band")]
         fired_i, _ = IndexedExecutor(rules).run(items)
-        fired_c, _ = IndexedExecutor(rules, compiled=True).run(items)
+        fired_c, _ = run_compiled(rules, items)
         assert fired_c == fired_i == {"i1": ["x1"], "i3": ["w1"]}
         compiled = RuleSetCompiler().compile(rules)
         assert compiled.forced_compat
@@ -320,7 +327,7 @@ class TestPluralBridgeTrap:
     def test_candidate_counted_but_no_fire_on_plural_only_title(self, rule):
         items = [item("i1", "blue rings")]
         fired_i, stats_i = IndexedExecutor([rule]).run(items)
-        fired_c, stats_c = IndexedExecutor([rule], compiled=True).run(items)
+        fired_c, stats_c = run_compiled([rule], items)
         assert fired_i == fired_c == {}
         # The singular-expanded probe proposes the rule: exactly one
         # (failed) evaluation on both paths.
@@ -361,9 +368,7 @@ class TestDirtyTitlesAndSkipMode:
         rules = [WhitelistRule("ring", "t", rule_id="w1")]
         items = [item("i1", "a ring"), BadTitle(), item("i2", "band")]
         fired_i, stats_i = IndexedExecutor(rules, on_error="skip").run(items)
-        fired_c, stats_c = IndexedExecutor(
-            rules, compiled=True, on_error="skip"
-        ).run(items)
+        fired_c, stats_c = run_compiled(rules, items, on_error="skip")
         assert fired_c == fired_i == {"i1": ["w1"]}
         assert stats_c.skipped_items == stats_i.skipped_items == 1
         assert stats_c.skipped_item_ids == stats_i.skipped_item_ids == ["bad"]
@@ -378,9 +383,9 @@ class TestDirtyTitlesAndSkipMode:
             def title(self):
                 raise RuntimeError("boom")
 
-        executor = IndexedExecutor([WhitelistRule("x", "t")], compiled=True)
+        compiled = RuleSetCompiler().compile([WhitelistRule("x", "t")])
         with pytest.raises(RuntimeError):
-            executor.run([BadTitle()])
+            compiled.execute([BadTitle()])
 
 
 class TestDisabledRulesAndRecompile:
@@ -395,20 +400,17 @@ class TestDisabledRulesAndRecompile:
         assert fired == {"i1": ["w1"]}
 
     def test_enabled_flip_between_runs_recompiles(self):
+        """An artifact snapshots the enabled flags it was compiled with;
+        a flip takes effect on the next compile."""
         rules = [WhitelistRule("ring", "t", rule_id="w1"),
                  WhitelistRule("band", "t", rule_id="w2")]
-        executor = IndexedExecutor(rules, compiled=True)
         items = [item("i1", "ring band")]
-        fired, _ = executor.run(items)
-        assert fired == {"i1": ["w1", "w2"]}
+        before = RuleSetCompiler().compile(rules)
         rules[0].enabled = False
-        fired, _ = executor.run(items)
-        assert fired == {"i1": ["w2"]}
-        rules[0].enabled = True
-        fired, stats = executor.run(items)
-        assert fired == {"i1": ["w1", "w2"]}
-        # back to the first fingerprint: served from the compile cache
-        assert stats.compile_time == 0.0
+        assert before.execute(items)[0] == {"i1": ["w1", "w2"]}
+        assert run_compiled(rules, items)[0] == {"i1": ["w2"]}
+        assert before.lane_of("w1") == "depth1-fire"
+        assert "excluded" in RuleSetCompiler().compile(rules).lane_of("w1")
 
 
 class TestPhasedExecution:
@@ -430,8 +432,11 @@ class TestPhasedExecution:
     def test_observability_implies_phased_spans(self):
         obs = Observability()
         rules = [WhitelistRule("ring", "t", rule_id="w1")]
-        executor = IndexedExecutor(rules, compiled=True, observability=obs)
-        fired, stats = executor.run([item("i1", "a ring")])
+        stats = ExecutionStats()
+        compiled = RuleSetCompiler(observability=obs).compile(rules, stats=stats)
+        fired, stats = compiled.execute(
+            [item("i1", "a ring")], observability=obs, stats=stats
+        )
         assert fired == {"i1": ["w1"]}
         names = [span.name for span in obs.tracer.spans]
         assert "exec.compile" in names
@@ -441,6 +446,9 @@ class TestPhasedExecution:
 
 
 class TestIncrementalCompiled:
+    """The daemon's incremental tracker (interpreted) and the compiled
+    engine agree on corpora outside the short-plural divergence."""
+
     def _corpus(self):
         rules = [
             WhitelistRule("rings?", "t", rule_id="w1"),
@@ -458,74 +466,53 @@ class TestIncrementalCompiled:
 
     def test_matches_interpreted_incremental(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
         interpreted = IncrementalExecutor(rules=rules, items=items)
-        assert compiled.fired_map() == interpreted.fired_map()
-        assert (
-            compiled.stats.rule_evaluations == interpreted.stats.rule_evaluations
-        )
+        fired_c, stats_c = run_compiled(rules, items)
+        assert fired_c == interpreted.fired_map()
+        item_side = IncrementalExecutor(rules=rules).add_items(items)
+        assert stats_c.rule_evaluations == item_side.rule_evaluations
 
     def test_churn_cycle_keeps_parity(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
         interpreted = IncrementalExecutor(rules=rules, items=items)
-        for ex in (compiled, interpreted):
-            ex.remove_rules(["w1"])
-            ex.add_rules([WhitelistRule("band", "t", rule_id="w2")])
-            ex.update_rule(SequenceRule(["silver", "ring"], "t", rule_id="s1"))
-            ex.add_items([item("i5", "silver band ring"), item("i2", "rings deluxe")])
-            ex.remove_items(["i3"])
-        assert compiled.fired_map() == interpreted.fired_map()
-        # and back to (a copy of) the original rule:
-        for ex in (compiled, interpreted):
-            ex.update_rule(SequenceRule(["gold", "ring"], "t", rule_id="s1"))
-            ex.add_rules([WhitelistRule("rings?", "t", rule_id="w1")])
-            ex.remove_rules(["w2"])
-        assert compiled.fired_map() == interpreted.fired_map()
+        interpreted.remove_rules(["w1"])
+        interpreted.add_rules([WhitelistRule("band", "t", rule_id="w2")])
+        interpreted.update_rule(SequenceRule(["silver", "ring"], "t", rule_id="s1"))
+        interpreted.add_items([item("i5", "silver band ring"), item("i2", "rings deluxe")])
+        interpreted.remove_items(["i3"])
+        live_items = [
+            item("i1", "gold ring"),
+            item("i4", "phone", {"brand": "Apple"}),
+            item("i5", "silver band ring"),
+            item("i2", "rings deluxe"),
+        ]
+        fired_c, _ = run_compiled(interpreted.rules(), live_items)
+        assert interpreted.fired_map() == fired_c
 
     def test_disable_enable_is_snapshot_filter_only(self):
+        """The tracker filters disabled rules at snapshot time with zero
+        re-evaluation; the compiled engine excludes them at compile time.
+        Both views agree."""
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
-        before = compiled.stats.rule_evaluations
+        interpreted = IncrementalExecutor(rules=rules, items=items)
+        before = interpreted.stats.rule_evaluations
         rules[0].enabled = False
-        assert "w1" not in str(compiled.fired_map())
+        assert interpreted.fired_map() == run_compiled(rules, items)[0]
+        assert "w1" not in str(interpreted.fired_map())
         rules[0].enabled = True
-        assert compiled.fired_map()["i2"] == ["w1"]
-        assert compiled.stats.rule_evaluations == before  # zero re-evaluation
+        assert interpreted.fired_map() == run_compiled(rules, items)[0]
+        assert interpreted.fired_map()["i2"] == ["w1"]
+        assert interpreted.stats.rule_evaluations == before
 
     def test_refresh_parity(self):
         rules, items = self._corpus()
-        compiled = IncrementalExecutor(rules=rules, items=items, compiled=True)
-        interpreted = IncrementalExecutor(rules=rules, items=items)
-        fired_c, op_c = compiled.refresh()
-        fired_i, op_i = interpreted.refresh()
+        fired_i, op_i = IncrementalExecutor(rules=rules, items=items).refresh()
+        fired_c, stats_c = run_compiled(rules, items)
         assert fired_c == fired_i
-        assert op_c.rule_evaluations == op_i.rule_evaluations
+        assert stats_c.rule_evaluations == op_i.rule_evaluations
 
 
 class TestPicklingContract:
-    def test_compiled_artifact_round_trips_by_relowering(self):
-        rules = [
-            WhitelistRule("rings?|gold band", "t", rule_id="w1"),
-            SequenceRule(["fine", "gold", "ring"], "t", rule_id="s1"),
-            AttributeRule("isbn", "book", rule_id="a1"),
-        ]
-        rules[2].enabled = False
-        compiled = RuleSetCompiler().compile(rules, include_disabled=True)
-        clone = pickle.loads(pickle.dumps(compiled))
-        items = [item("i1", "fine gold ring"), item("i2", "gold band"),
-                 item("i3", "x", {"isbn": "1"})]
-        for it in items:
-            assert clone.match_item(it) == compiled.match_item(it)
-        assert clone.include_disabled
-
-    def test_predicate_rules_make_artifact_unpicklable(self):
-        compiled = RuleSetCompiler().compile(
-            [PredicateRule([Clause("title_contains x", lambda it: "x" in it.title)], "t", rule_id="p1")]
-        )
-        with pytest.raises(UnserializableRuleError):
-            pickle.dumps(compiled)
-
     def test_shard_payload_size_is_independent_of_rule_count(self):
         """Satellite: shard submissions carry O(shard items), not rules."""
         items = [item(f"i{n}", f"token{n} gold ring") for n in range(40)]
@@ -557,40 +544,6 @@ class TestPicklingContract:
         rebuilt = PreparedItem.from_payload(payload)
         assert rebuilt.tokens == ("gold", "ring")
         assert rebuilt.tokens_with_stopwords == ("a", "gold", "ring")
-
-
-class TestPartitionedCompiled:
-    def test_compiled_shards_ship_raw_items(self):
-        executor = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2, compiled=True
-        )
-        shards, shard_ids, _ = executor._shards([item("i1", "a"), item("i2", "b")])
-        assert all(isinstance(record, ProductItem) for shard in shards for record in shard)
-        assert shard_ids == [["i1"], ["i2"]]
-
-    def test_compiled_partitioned_matches_interpreted(self):
-        rules = [
-            WhitelistRule("rings?", "t", rule_id="w1"),
-            SequenceRule(["gold", "ring"], "t", rule_id="s1"),
-        ]
-        items = [item(f"i{n}", f"gold ring {n}") for n in range(23)]
-        fired_i, _, _ = PartitionedExecutor(rules, n_workers=3).run(items)
-        fired_c, stats_c, reports = PartitionedExecutor(
-            rules, n_workers=3, compiled=True
-        ).run(items)
-        assert fired_c == fired_i
-        assert stats_c.compile_time > 0.0
-        assert all(report.ok for report in reports)
-
-    def test_compiled_artifact_reused_across_runs(self):
-        executor = PartitionedExecutor(
-            [WhitelistRule("ring", "t", rule_id="w1")], n_workers=2, compiled=True
-        )
-        items = [item("i1", "a ring")]
-        executor.run(items)
-        first = executor._driver_compiled
-        executor.run(items)
-        assert executor._driver_compiled is first
 
 
 class TestExplain:
@@ -643,42 +596,12 @@ class TestExplain:
         steps = compiled.explain_fired(item("i1", "gold ring"))
         assert [step.rule_id for step in steps] == ["w1", "w2"]
 
-    def test_compiled_path_feeds_the_why_provenance_chain(self):
-        """The fired maps reaching observe_fired (and from there the
-        quality/provenance chain) are identical, compiled vs interpreted."""
-        rules = [WhitelistRule("rings?", "t", rule_id="w1"),
-                 SequenceRule(["gold", "ring"], "t", rule_id="s1")]
-        items = [item("i1", "gold ring"), item("i2", "rings"), item("i3", "x")]
-        snapshots = []
-        for compiled in (False, True):
-            obs = Observability()
-            obs.attach_quality()
-            IndexedExecutor(rules, compiled=compiled, observability=obs).run(items)
-            health = obs.quality.health
-            snapshots.append(
-                {rid: health.health(rid).fires for rid in ("w1", "s1")}
-            )
-        assert snapshots[0] == snapshots[1]
-
 
 class TestCompiledRuleSetChurn:
-    def test_add_remove_patches_only_touched_lanes(self):
-        compiled = CompiledRuleSet()
-        compiled.add_rule(WhitelistRule("ring", "t", rule_id="w1"))
-        gen = compiled.generation
-        compiled.add_rule(SequenceRule(["gold", "band"], "t", rule_id="s1"))
-        assert compiled.generation == gen + 1
-        hits, _ = compiled.match_item(item("i1", "gold ring band"))
-        assert hits == ["s1", "w1"]
-        assert compiled.remove_rule("w1") is True
-        assert compiled.remove_rule("w1") is False
-        hits, _ = compiled.match_item(item("i1", "gold ring band"))
-        assert hits == ["s1"]
-
     def test_duplicate_add_rejected(self):
-        compiled = CompiledRuleSet([WhitelistRule("x", "t", rule_id="w1")])
         with pytest.raises(ValueError):
-            compiled.add_rule(WhitelistRule("y", "t", rule_id="w1"))
+            CompiledRuleSet([WhitelistRule("x", "t", rule_id="w1"),
+                             WhitelistRule("y", "t", rule_id="w1")])
 
     def test_layout_counts(self):
         compiled = CompiledRuleSet([
@@ -754,18 +677,39 @@ class TestHypothesisParity:
     )
     def test_compiled_equals_interpreted_for_arbitrary_rulesets(self, rules, items):
         fired_i, stats_i = IndexedExecutor(rules).run(items)
-        fired_c, stats_c = IndexedExecutor(rules, compiled=True).run(items)
+        fired_c, stats_c = run_compiled(rules, items)
         assert fired_c == fired_i
         assert stats_c.rule_evaluations == stats_i.rule_evaluations
         assert stats_c.matches == stats_i.matches
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(_rules(), min_size=0, max_size=6, unique_by=lambda r: r.rule_id),
-        _items(),
+
+
+class TestShortPluralDivergence:
+    """The one known disagreement between the two engines.
+
+    ``singular_form`` leaves words of <= 3 letters alone, so the interpreted
+    anchor index (probing singular-expanded title tokens for the anchor
+    ``tv``) never proposes ``tvs?`` for ``'4k smart tvs'``. The compiled
+    lanes register both surface forms and fire it — agreeing with the naive
+    scan — without counting a candidate evaluation.
+    """
+
+    RULE = WhitelistRule("tvs?", "tv", rule_id="r1")
+    ITEMS = [item("i1", "4k smart tvs")]
+
+    def test_compiled_agrees_with_naive(self):
+        fired_n, _ = NaiveExecutor([self.RULE]).run(self.ITEMS)
+        fired_c, stats_c = run_compiled([self.RULE], self.ITEMS)
+        assert fired_c == fired_n == {"i1": ["r1"]}
+        # fired with zero evaluations: no index candidate carried it
+        assert stats_c.rule_evaluations == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="anchor-index defect: <=3-letter plurals (tvs -> tv) are "
+        "not singularized, so IndexedExecutor misses the pair",
     )
-    def test_incremental_compiled_equals_batch_interpreted(self, rules, items):
-        enabled = [r for r in rules]
-        incremental = IncrementalExecutor(rules=enabled, items=items, compiled=True)
-        fired_i, _ = IndexedExecutor(enabled).run(items)
-        assert incremental.fired_map() == fired_i
+    def test_indexed_agrees_with_naive(self):
+        fired_n, _ = NaiveExecutor([self.RULE]).run(self.ITEMS)
+        fired_i, _ = IndexedExecutor([self.RULE]).run(self.ITEMS)
+        assert fired_i == fired_n

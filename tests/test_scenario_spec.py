@@ -1,9 +1,8 @@
 """Scenario spec loading and validation, plus the YAML fallback parser.
 
-The shipped library must parse identically under PyYAML and the
-dependency-free fallback in :mod:`repro.scenario.yamlio` — a file the two
-parsers disagree on would silently break the determinism contract on a
-bare install.
+Specs load through the one dependency-free parser in
+:mod:`repro.scenario.yamlio`; PyYAML, when installed, is only the oracle
+that the shipped library means the same to a full YAML parser.
 """
 
 import pathlib
@@ -76,6 +75,21 @@ class TestYamlFallback:
         with pytest.raises(YamlError) as exc:
             fallback_load("ok: 1\nbroken junk without colon\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text,line", [
+        ("name: x\nbase: &a\n  n: 1\nother: *a\n", 2),
+        ("name: x\nk: &a [1, 2]\n", 2),
+        ("name: x\nk: 1\nj:\n  - *a\n", 4),
+        ("name: x\nk: |\n  text\n", 2),
+        ("name: x\nk: !!str 1\n", 2),
+    ], ids=["anchor-and-alias", "inline-anchor", "alias-in-list",
+            "block-scalar", "tag"])
+    def test_anchors_aliases_tags_and_block_scalars_rejected(self, text, line):
+        """Rejected by the one loader even when PyYAML is importable (it
+        would accept these and resolve them differently)."""
+        with pytest.raises(YamlError, match="unsupported YAML feature") as exc:
+            loads(text)
+        assert exc.value.line == line
 
     @pytest.mark.skipif(pyyaml is None, reason="PyYAML not installed")
     @pytest.mark.parametrize("path", all_spec_paths(),
