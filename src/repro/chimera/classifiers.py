@@ -82,10 +82,6 @@ class RuleBasedClassifier(ClassifierStage):
             )
         return predictions
 
-    def vetoes(self, item: ItemLike) -> Set[str]:
-        """Types this stage's blacklists veto for ``item``."""
-        return set(self.rules.apply(item).vetoed)
-
 
 class AttributeValueClassifier(ClassifierStage):
     """Stage 2: attribute rules predict; value rules constrain.

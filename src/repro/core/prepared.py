@@ -85,14 +85,19 @@ class PreparedItem:
     def description(self) -> str:
         return self.item.description
 
-    def attribute(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        """Case-insensitive attribute lookup via a one-time lowered map."""
+    @property
+    def attribute_map(self) -> Dict[str, str]:
+        """Attributes keyed by lowercased name (first spelling wins)."""
         if self._attributes_lower is _UNSET:
             lowered: Dict[str, str] = {}
             for key, value in self.item.attributes.items():
                 lowered.setdefault(key.lower(), value)
             self._attributes_lower = lowered
-        return self._attributes_lower.get(name.lower(), default)
+        return self._attributes_lower
+
+    def attribute(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        """Case-insensitive attribute lookup via a one-time lowered map."""
+        return self.attribute_map.get(name.lower(), default)
 
     def has_attribute(self, name: str) -> bool:
         return self.attribute(name) is not None

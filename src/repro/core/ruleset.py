@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.catalog.types import ProductItem
 from repro.core.errors import DuplicateRuleError, UnknownRuleError
-from repro.core.prepared import ItemLike, prepare
+from repro.core.prepared import ItemLike, PreparedItem, prepare
 from repro.core.rule import Prediction, Rule
 
 
@@ -84,9 +84,12 @@ class RuleSet:
         # same callable registered twice unsubscribes independently.
         self._listeners: Dict[int, Callable[[str, Rule], None]] = {}
         self._listener_tokens = 0
-        # apply()'s kind partition, rebuilt when `_version` moves on.
+        # apply()'s kind partition and prefilter, rebuilt when `_version`
+        # moves on.
         self._kinds: Tuple[Tuple[Rule, ...], ...] = ((), (), ())
         self._kinds_version = -1
+        self._prefilter = _Prefilter(self._kinds)
+        self._prefilter_version = -1
         for rule in rules:
             self.add(rule)
 
@@ -265,6 +268,13 @@ class RuleSet:
             self._kinds_version = self._version
         return self._kinds
 
+    def _prefilter_index(self) -> "_Prefilter":
+        """:meth:`apply`'s candidate prefilter, cached per :attr:`version`."""
+        if self._prefilter_version != self._version:
+            self._prefilter = _Prefilter(self._kind_partition())
+            self._prefilter_version = self._version
+        return self._prefilter
+
     def whitelists(self) -> List[Rule]:
         return [r for r in self._kind_partition()[0] if r.enabled]
 
@@ -289,19 +299,35 @@ class RuleSet:
         Accepts either a raw :class:`~repro.catalog.types.ProductItem` or a
         :class:`~repro.core.prepared.PreparedItem`; either way the item's
         derived text views are computed at most once for the whole verdict.
-        The kind partition is cached per :attr:`version`; each rule's
-        ``enabled`` flag is read live (see :meth:`_kind_partition`).
+
+        Only candidate rules are evaluated: those whose prefilter keys the
+        item carries (:meth:`Rule.prefilter_keys
+        <repro.core.rule.Rule.prefilter_keys>`: a literal inside one of its
+        title tokens, or a lowercased attribute name), plus every rule
+        without keys. The keys are sound, so a skipped rule could not have
+        matched, and candidates run in the order the full scan would take;
+        the verdict equals that of evaluating every active rule. The
+        prefilter is cached per :attr:`version`; each rule's ``enabled``
+        flag is read live (see :meth:`_kind_partition`).
         """
-        whitelists, constraints, blacklists = self._kind_partition()
+        index = self._prefilter_index()
+        rules = index.rules
+        first_constraint = index.first_constraint
+        first_blacklist = index.first_blacklist
         prepared = prepare(item)
         fired: List[str] = []
         predictions: List[Prediction] = []
         seen_labels: Set[str] = set()
-        for rule in whitelists:
+        allowed: Optional[Set[str]] = None
+        vetoed: List[str] = []
+        for position in index.candidates(prepared):
+            rule = rules[position]
             if not rule.enabled:
                 continue
-            prediction = rule.predict_prepared(prepared)
-            if prediction is not None:
+            if position < first_constraint:
+                prediction = rule.predict_prepared(prepared)
+                if prediction is None:
+                    continue
                 fired.append(rule.rule_id)
                 if prediction.label not in seen_labels:
                     predictions.append(prediction)
@@ -313,21 +339,16 @@ class RuleSet:
                         else prediction
                         for p in predictions
                     ]
-
-        allowed: Optional[Set[str]] = None
-        for rule in constraints:
-            if rule.enabled and rule.matches_prepared(prepared):
-                fired.append(rule.rule_id)
-                rule_allowed = set(rule.allowed_types)
-                allowed = rule_allowed if allowed is None else (allowed & rule_allowed)
-        if allowed is not None:
-            predictions = [p for p in predictions if p.label in allowed]
-
-        vetoed: List[str] = []
-        for rule in blacklists:
-            if rule.enabled and rule.matches_prepared(prepared):
+            elif position < first_blacklist:
+                if rule.matches_prepared(prepared):
+                    fired.append(rule.rule_id)
+                    rule_allowed = set(rule.allowed_types)
+                    allowed = rule_allowed if allowed is None else (allowed & rule_allowed)
+            elif rule.matches_prepared(prepared):
                 fired.append(rule.rule_id)
                 vetoed.append(rule.target_type)
+        if allowed is not None:
+            predictions = [p for p in predictions if p.label in allowed]
         veto_set = set(vetoed)
         surviving = tuple(p for p in predictions if p.label not in veto_set)
 
@@ -349,3 +370,88 @@ class RuleSet:
                 if rule.matches_prepared(prepared):
                     covered[rule.rule_id].append(prepared.item_id)
         return covered
+
+
+# Token -> candidate positions memo bound, per prefilter.
+_HITS_LIMIT = 8192
+
+
+def _keys_trusted(cls: type) -> bool:
+    """Whether ``cls``'s prefilter keys describe its own matching.
+
+    A subclass that overrides ``matches_prepared`` or ``predict_prepared``
+    without redefining ``prefilter_keys`` is not trusted: its rules go to
+    the residue.
+    """
+    owner = next(c for c in cls.__mro__ if "prefilter_keys" in vars(c))
+    return (
+        cls.matches_prepared is owner.matches_prepared
+        and cls.predict_prepared is Rule.predict_prepared
+    )
+
+
+class _Prefilter:
+    """Postings of one rule-set version: prefilter key → rule positions.
+
+    Positions number the rules in evaluation order (whitelists, then
+    constraints, then blacklists, each in set order), so sorted candidates
+    are the full scan's order with the non-candidates left out. Rules
+    without sound keys form the residue every item checks.
+    """
+
+    def __init__(self, kinds: Tuple[Tuple[Rule, ...], ...]):
+        whitelists, constraints, blacklists = kinds
+        self.rules: Tuple[Rule, ...] = whitelists + constraints + blacklists
+        self.first_constraint = len(whitelists)
+        self.first_blacklist = len(whitelists) + len(constraints)
+        self.text: Dict[str, List[int]] = {}
+        self.attr: Dict[str, List[int]] = {}
+        residue: List[int] = []
+        trusted: Dict[type, bool] = {}
+        for position, rule in enumerate(self.rules):
+            cls = type(rule)
+            if cls not in trusted:
+                trusted[cls] = _keys_trusted(cls)
+            keys = rule.prefilter_keys() if trusted[cls] else None
+            if keys is None:
+                residue.append(position)
+                continue
+            space, names = keys
+            postings = self.attr if space == "attr" else self.text
+            for name in names:
+                postings.setdefault(name, []).append(position)
+        self.residue = tuple(residue)
+        self.lengths = sorted({len(literal) for literal in self.text})
+        self._hits: Dict[str, Tuple[int, ...]] = {}
+
+    def _token_hits(self, token: str) -> Tuple[int, ...]:
+        """Positions posted under any substring of ``token`` (memoized)."""
+        hits = self._hits.get(token)
+        if hits is None:
+            text = self.text
+            found: List[int] = []
+            for length in self.lengths:
+                if length > len(token):
+                    break
+                for start in range(len(token) - length + 1):
+                    posted = text.get(token[start : start + length])
+                    if posted is not None:
+                        found.extend(posted)
+            hits = tuple(found)
+            if len(self._hits) >= _HITS_LIMIT:
+                self._hits.clear()
+            self._hits[token] = hits
+        return hits
+
+    def candidates(self, prepared: PreparedItem) -> List[int]:
+        """Sorted positions of the rules that could match ``prepared``."""
+        found = set(self.residue)
+        for token in prepared.token_set:
+            found.update(self._token_hits(token))
+        if self.attr:
+            attr = self.attr
+            for name in prepared.attribute_map:
+                posted = attr.get(name)
+                if posted is not None:
+                    found.update(posted)
+        return sorted(found)

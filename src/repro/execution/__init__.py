@@ -43,7 +43,9 @@ partitioned executors are interpreted (the indexed one is the reference
 the compiled engine is tested against), and the compiled engine has no
 executor wrapper. Their fired maps agree except for short-plural regexes
 (``tvs?`` on ``'4k smart tvs'``), which the interpreted anchor index
-misses and the compiled engine fires with no evaluation counted.
+misses and the compiled engine fires with no evaluation counted. Both
+miss some pairs the naive scan fires, e.g. a required literal inside a
+longer title token (DESIGN.md §11 lists them).
 """
 
 from repro.core.prepared import (

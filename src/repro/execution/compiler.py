@@ -76,8 +76,8 @@ compat path for the whole artifact (``forced_compat``): correctness
 always wins over speed, and ``CompiledRuleSet.lane_of`` makes the
 downgrade observable.
 
-**Parity with the interpreted engine.** Fired maps and
-``rule_evaluations`` equal those of
+**Parity with the interpreted engine and with the naive scan.** Fired
+maps and ``rule_evaluations`` equal those of
 :class:`~repro.execution.executor.IndexedExecutor` over the same enabled
 rules, with one known exception. The interpreted anchor index misses the
 plural surface form of a ``ws?`` regex when the plural ``ws`` has at most
@@ -88,6 +88,24 @@ such a pair, agreeing with
 :class:`~repro.execution.executor.NaiveExecutor`, while recording no
 candidate evaluation for it. ``TestShortPluralDivergence`` in
 ``tests/test_execution_compiled.py`` pins the divergence.
+
+Both engines miss pairs :class:`~repro.execution.executor.NaiveExecutor`
+fires, because they look up :meth:`~repro.core.rule.Rule.anchor_literals`
+as whole title tokens and that extraction is not sound:
+
+* a required literal inside a longer token: ``5g.*phones?`` on
+  ``'5g smartphone'`` (anchor ``phone``, token ``smartphone``),
+  ``\\dgb`` on ``'4gb ram'`` (anchor ``gb``);
+* an optional character inside a word: ``colou?r`` on ``'color tv'``
+  (anchor ``colo``);
+* a character class read as text: ``[xy]z`` on ``'xz widget'``
+  (anchor ``xy``);
+* a ``{0,n}`` repeat kept as required: ``ab{0,1}`` on ``'a widget'``
+  (anchor ``ab``).
+
+``TestLiteralInsideTokenDivergence`` pins these as strict xfails.
+:meth:`RuleSet.apply <repro.core.ruleset.RuleSet.apply>` does not use
+these anchors; its prefilter keys are sound (DESIGN.md §5).
 
 The artifact is immutable: rules are lowered once at construction, then
 folded into the hot-loop entries. A changed rule set is recompiled.

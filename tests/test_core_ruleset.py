@@ -1,6 +1,10 @@
 """Tests for RuleSet evaluation semantics."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.types import ProductItem
 from repro.core import (
@@ -13,6 +17,8 @@ from repro.core import (
     WhitelistRule,
     parse_rules,
 )
+from repro.core.prepared import prepare
+from repro.core.rule import Clause, PredicateRule, SequenceRule
 
 
 def item(title, **attributes):
@@ -210,3 +216,210 @@ class TestKindPartitionCache:
             for r in fired
         ]
         assert kinds == ["wl", "wl", "cons", "bl", "bl"]
+
+
+def scan_apply(ruleset, item):
+    """The full scan ``RuleSet.apply`` ran before its prefilter: every
+    enabled rule, whitelists then constraints then blacklists."""
+    rules = list(ruleset)
+    whitelists = [r for r in rules if not r.is_blacklist and not r.is_constraint]
+    constraints = [r for r in rules if r.is_constraint]
+    blacklists = [r for r in rules if r.is_blacklist]
+    prepared = prepare(item)
+    fired = []
+    predictions = []
+    seen_labels = set()
+    for rule in whitelists:
+        if not rule.enabled:
+            continue
+        prediction = rule.predict_prepared(prepared)
+        if prediction is not None:
+            fired.append(rule.rule_id)
+            if prediction.label not in seen_labels:
+                predictions.append(prediction)
+                seen_labels.add(prediction.label)
+            else:
+                predictions = [
+                    p if p.label != prediction.label or p.weight >= prediction.weight
+                    else prediction
+                    for p in predictions
+                ]
+    allowed = None
+    for rule in constraints:
+        if rule.enabled and rule.matches_prepared(prepared):
+            fired.append(rule.rule_id)
+            rule_allowed = set(rule.allowed_types)
+            allowed = rule_allowed if allowed is None else (allowed & rule_allowed)
+    if allowed is not None:
+        predictions = [p for p in predictions if p.label in allowed]
+    vetoed = []
+    for rule in blacklists:
+        if rule.enabled and rule.matches_prepared(prepared):
+            fired.append(rule.rule_id)
+            vetoed.append(rule.target_type)
+    veto_set = set(vetoed)
+    return (
+        tuple(p for p in predictions if p.label not in veto_set),
+        tuple(sorted(veto_set)),
+        tuple(sorted(allowed)) if allowed is not None else None,
+        tuple(fired),
+    )
+
+
+def verdict_fields(verdict):
+    return (verdict.predictions, verdict.vetoed, verdict.constrained_to, verdict.fired)
+
+
+class TestPrefilterSoundness:
+    """Shapes whose required literal sits inside a longer token, or after
+    an optional or class-matched character. The anchor index behind
+    ``IndexedExecutor`` and the compiled engine miss the last four (see
+    ``TestLiteralInsideTokenDivergence`` in test_execution_compiled.py);
+    ``apply`` must fire every one, as the full scan does."""
+
+    @pytest.mark.parametrize("pattern, title", [
+        ("5g.*phones?", "5g smartphone"),
+        ("tvs?", "4k smart tvs"),
+        ("colou?r", "color tv"),
+        (r"\dgb", "4gb ram"),
+        ("[xy]z", "xz widget"),
+        ("ab{0,1}", "a widget"),
+    ])
+    def test_fires_like_the_full_scan(self, pattern, title):
+        ruleset = RuleSet([WhitelistRule(pattern, "t", rule_id="r1")])
+        probe = item(title)
+        assert ruleset.apply(probe).fired == ("r1",)
+        assert verdict_fields(ruleset.apply(probe)) == scan_apply(ruleset, probe)
+
+    def test_case_insensitive_group_is_always_checked(self):
+        ruleset = RuleSet([WhitelistRule("(?i:RING)s?", "rings", rule_id="r1")])
+        assert ruleset.apply(item("gold ring")).fired == ("r1",)
+
+    def test_pattern_valid_only_inside_the_title_wrapping_is_always_checked(self):
+        # "gold)|(ring" is unbalanced alone; compile_title_regex's group
+        # turns it into "(?:gold)|(ring)", which fires on "ring".
+        ruleset = RuleSet([WhitelistRule("gold)|(ring", "rings", rule_id="r1")])
+        probe = item("silver ring")
+        assert ruleset.apply(probe).fired == ("r1",)
+        assert verdict_fields(ruleset.apply(probe)) == scan_apply(ruleset, probe)
+
+    def test_overridden_matcher_is_always_checked(self):
+        class Everywhere(WhitelistRule):
+            def matches_prepared(self, prepared):
+                return True
+
+        ruleset = RuleSet([Everywhere("zzz", "t", rule_id="r1")])
+        assert ruleset.apply(item("gold ring")).fired == ("r1",)
+
+
+# -- the prefilter against the full scan ------------------------------------------
+
+WORDS = [
+    "ring", "rings", "tv", "tvs", "color", "colour", "gb", "4gb", "phone",
+    "smartphone", "5g", "z", "xz", "a", "ab", "key", "usb-c", "13-293snb", "caf\u00e9",
+]
+TYPES = ["t1", "t2", "t3"]
+ATTRIBUTES = ["ISBN", "isbn", "Brand", "brand", "Color"]
+
+word = st.sampled_from(WORDS)
+simple_piece = st.one_of(
+    word.map(re.escape),
+    word.map(lambda w: re.escape(w) + "s?"),
+    word.map(lambda w: re.escape(w[:-1]) + "u?" + re.escape(w[-1])),
+    word.map(lambda w: re.escape(w) + "{0,1}"),
+    word.map(lambda w: f"(?:{re.escape(w)}){{0,1}}"),
+    word.map(lambda w: f"(?i:{re.escape(w.upper())})"),
+    st.sampled_from([r"\d", r"\s", r"[xy]", r"[a-c]z", ".", ".*", r"\d+"]),
+)
+regex_piece = st.one_of(
+    simple_piece,
+    st.tuples(simple_piece, simple_piece).map(lambda p: f"(?:{p[0]}|{p[1]})"),
+)
+regex = st.lists(
+    st.tuples(regex_piece, st.sampled_from(["", " ", ".*", r"\s"])), min_size=1, max_size=3,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts[:-1]) + parts[-1][0])
+
+title = st.one_of(
+    st.lists(
+        st.one_of(word, st.sampled_from([
+            "Gold", "KEY", "Ring!", "4GB", "tvs,", "co-lour", "smart-phone",
+            "\u00c9CLAIR", "na\u00efve", "\u65e5\u672c", "x.z", "a/b", "  ", "5G-PHONES",
+        ])),
+        max_size=6,
+    ).map(" ".join),
+    st.text(max_size=20),
+)
+test_item = st.builds(
+    lambda t, attrs: ProductItem(item_id="i", title=t, attributes=attrs),
+    title,
+    st.dictionaries(st.sampled_from(ATTRIBUTES), st.sampled_from(["apple", "Apple", "x"]), max_size=3),
+)
+
+
+def _contains_a(item):
+    return "a" in item.title.lower()
+
+
+@st.composite
+def any_rule(draw):
+    kind = draw(st.sampled_from(["wl", "bl", "seq", "attr", "val", "pred"]))
+    target = draw(st.sampled_from(TYPES))
+    weight = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    if kind in ("wl", "bl"):
+        cls = WhitelistRule if kind == "wl" else BlacklistRule
+        return cls(draw(regex), target, confidence=weight)
+    if kind == "seq":
+        return SequenceRule(draw(st.lists(word, min_size=1, max_size=2)), target, confidence=weight)
+    if kind == "attr":
+        return AttributeRule(draw(st.sampled_from(ATTRIBUTES)), target, confidence=weight)
+    if kind == "val":
+        allowed = draw(st.lists(st.sampled_from(TYPES), min_size=1, max_size=2, unique=True))
+        return ValueConstraintRule(
+            draw(st.sampled_from(ATTRIBUTES)), draw(st.sampled_from(["apple", "x"])), allowed,
+        )
+    clause = Clause("title has an a", _contains_a)
+    return PredicateRule([clause], target, negated=draw(st.booleans()), confidence=weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prefiltered_apply_equals_the_full_scan(data):
+    ruleset = RuleSet()
+    serial = 0
+
+    def fresh(rule_id=None):
+        nonlocal serial
+        rule = data.draw(any_rule())
+        if rule_id is None:
+            serial += 1
+            rule_id = f"r{serial}"
+        rule.rule_id = rule_id
+        return rule
+
+    for _ in range(data.draw(st.integers(0, 8))):
+        ruleset.add(fresh())
+    ops = st.sampled_from(["apply", "apply", "apply", "flip", "add", "replace", "remove", "toggle"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=12)):
+        ids = [rule.rule_id for rule in ruleset]
+        if op == "apply":
+            probe = data.draw(test_item)
+            assert verdict_fields(ruleset.apply(probe)) == scan_apply(ruleset, probe)
+        elif op == "add":
+            ruleset.add(fresh())
+        elif not ids:
+            continue
+        elif op == "flip":  # in place, no event: the apply_plan path
+            rule = ruleset.get(data.draw(st.sampled_from(ids)))
+            rule.enabled = not rule.enabled
+        elif op == "replace":
+            ruleset.replace(fresh(data.draw(st.sampled_from(ids))))
+        elif op == "remove":
+            ruleset.remove(data.draw(st.sampled_from(ids)))
+        else:
+            rule_id = data.draw(st.sampled_from(ids))
+            if ruleset.is_enabled(rule_id):
+                ruleset.disable(rule_id)
+            else:
+                ruleset.enable(rule_id)
+    probe = data.draw(test_item)
+    assert verdict_fields(ruleset.apply(probe)) == scan_apply(ruleset, probe)
